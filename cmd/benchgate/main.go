@@ -48,6 +48,12 @@
 // file gates every domain count — the flag exists to prove exactly that,
 // plus record the per-domain dispatch breakdown in the perf sidecar.
 //
+// A local sweep must also leave no goroutine behind: every point frees its
+// world, which unwinds the actors still parked in its kernel, so the gate
+// fails if the goroutine count after the sweep exceeds the count before it.
+// (A leaked world pins its whole object graph for the life of the process,
+// which is how a long-running sweepd would grow without bound.)
+//
 // With -shuffle-seeds N the gate additionally re-runs the entire sweep N
 // times under seeded schedule perturbation (sim.SetShuffleSeed): same-time
 // event and run-queue tie-breaks are randomized per seed while virtual-time
@@ -155,6 +161,7 @@ func main() {
 			r = runner.New(*workers)
 		}
 	}
+	g0 := runtime.NumGoroutine()
 	d0 := sim.TotalDispatched()
 	e0 := sim.TotalElided()
 	pd0 := sim.TotalDispatchedByDomain()
@@ -170,6 +177,12 @@ func main() {
 		got = bench.CollectGolden(r, nil)
 	}
 	wall := time.Since(t0)
+	leaked := 0
+	if *server == "" {
+		// The HTTP client keeps idle connections (and their goroutines), so
+		// only a local sweep is checked.
+		leaked = goroutinesAbove(g0)
+	}
 	dispatches := sim.TotalDispatched() - d0
 	elided := sim.TotalElided() - e0
 	effective := float64(dispatches+elided) / wall.Seconds()
@@ -221,6 +234,9 @@ func main() {
 		if len(perDomain) > 0 {
 			fmt.Printf("benchgate: domains=%d dispatch breakdown: %v\n", *domains, perDomain)
 		}
+	}
+	if leaked > 0 {
+		fatal(fmt.Errorf("%d goroutines more after the sweep than the %d before it: a simulated world was not freed (World.Free releases its kernel's parked actors)", leaked, g0))
 	}
 
 	// Read the perf baseline before refreshing the sidecar: with both flags
@@ -381,6 +397,19 @@ func verifyShuffleInvariance(base bench.Golden, n, workers int, reportPath strin
 		}
 	}
 	return nil
+}
+
+// goroutinesAbove reports how many goroutines exceed limit, after giving
+// the runner's pool workers, which may still be exiting when the sweep
+// returns, up to a second to finish.
+func goroutinesAbove(limit int) int {
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > limit && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n - limit
 }
 
 func fatal(err error) {

@@ -127,15 +127,15 @@ type Summary struct {
 var simBlockingPrimitives = map[string]bool{
 	"Proc.Wait": true, "Proc.WaitUntil": true, "Proc.Yield": true, "Proc.block": true,
 	"Cond.Wait": true, "Cond.WaitFor": true,
-	"Gate.Wait":         true,
+	"Gate.Wait":           true,
 	"Counter.WaitAtLeast": true,
-	"Queue.Pop":         true,
+	"Queue.Pop":           true,
 }
 
 // partNotifyMethods seeds EffIssuesPready/EffIssuesParrived by identity on
 // internal/core request types.
 var preadyMethods = map[string]bool{
-	"SendRequest.Pready": true,
+	"SendRequest.Pready":    true,
 	"Prequest.PreadyThread": true, "Prequest.PreadyWarp": true,
 	"Prequest.PreadyBlock": true, "Prequest.PreadyBlockAggregated": true,
 	"Prequest.KernelCopyRange": true, "Prequest.KernelCopyWholePartition": true,
@@ -192,9 +192,9 @@ func classifyExternal(ext ExtCallee) (EffectSet, string) {
 }
 
 // classifyInProgram returns intrinsic effects a call edge to an in-program
-// node carries by identity (the sim parking primitives park via channel
-// operations internally, so their Blocks quality is seeded here, not
-// derived from their bodies).
+// node carries by identity (the sim parking primitives park through a
+// coroutine switch, a plain func-value call in their bodies, so their Blocks
+// quality is seeded here, not derived from their bodies).
 func classifyInProgram(n *FuncNode) (EffectSet, string) {
 	key := calleeKey(n.RecvName, n.Name)
 	switch {

@@ -79,11 +79,11 @@ var raceHostSuffixes = []string{
 	// from concurrently running shard goroutines and must hold their
 	// mutexes, exactly the lockset discipline this analyzer checks. The
 	// checked surface is narrowed to those files (raceHostFiles): the rest
-	// of the package is the cooperative kernel, whose one-goroutine-per-
-	// kernel invariant rests on the proc handoff channels and the Shards
-	// window barrier — happens-before the instance-blind location
-	// abstraction cannot express, and which `go test -race` exercises
-	// dynamically on every CI run.
+	// of the package is the cooperative kernel, whose one-actor-at-a-time
+	// invariant rests on the coroutine switch that resumes procs
+	// (iter.Pull) and the Shards window barrier — happens-before the
+	// instance-blind location abstraction cannot express, and which
+	// `go test -race` exercises dynamically on every CI run.
 	"internal/sim",
 }
 

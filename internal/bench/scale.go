@@ -78,5 +78,6 @@ func MeasureKernelScale(actors, rounds int) ScaleStats {
 		panic(err)
 	}
 	st.Dispatches = k.Dispatched()
+	k.Release()
 	return st
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -474,6 +475,47 @@ func TestEngineRegisterAndDrain(t *testing.T) {
 	}
 	if ticks != 5 {
 		t.Fatalf("ticks = %d, want 5", ticks)
+	}
+}
+
+// TestFreeReleasesWorldGoroutines: a world whose ranks used a fused stream
+// op and a legacy (bridged) progressor leaves bridge procs parked after
+// Run. Free must unwind them, so the goroutine count returns to where it
+// was before the world was built.
+func TestFreeReleasesWorldGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for round := 0; round < 3; round++ {
+		w := newTwoNodeWorld()
+		w.Spawn(func(r *Rank) {
+			p := r.Proc()
+			r.Stream.Enqueue("fused", func(sp *sim.Proc) { sp.Wait(sim.Microseconds(1)) })
+			polls := 0
+			r.Engine.Register(progressFunc(func(pp *sim.Proc) (bool, bool) {
+				pp.Wait(sim.Microseconds(1))
+				polls++
+				return true, polls < 3
+			}))
+			r.Stream.Synchronize(p)
+			p.Wait(sim.Microseconds(50))
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if w.K.LiveProcs() == 0 {
+			t.Fatal("no bridge procs parked after Run; the test no longer exercises the leak")
+		}
+		w.Free()
+		if n := w.K.LiveActors(); n != 0 {
+			t.Fatalf("round %d: %d actors live after Free", round, n)
+		}
+	}
+	// Drained coroutines exit inside stop; the loop only gives any other
+	// goroutine that is already exiting a chance to go.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutine leak: %d before, %d after three freed worlds", before, n)
 	}
 }
 

@@ -148,13 +148,17 @@ func (w *World) Spawn(main func(r *Rank)) {
 // Run executes the simulation to completion.
 func (w *World) Run() error { return w.K.Run() }
 
-// Free recycles every device buffer of every rank into the global slab
-// pool. Call it only after Run, once all results have been copied out of
+// Free releases the world's host resources: it recycles every device
+// buffer of every rank into the global slab pool, and it unwinds the procs
+// still parked in the kernel (the bridge procs behind fused stream ops and
+// legacy progressors), which would otherwise pin the whole world for the
+// life of the process. Call it only after Run, once all results have been copied out of
 // device memory into scalars — the bench harness does this between
 // measurement points so successive worlds reuse warm pages instead of
-// re-faulting hundreds of megabytes. Tests that inspect device buffers
-// after Run simply never call Free.
+// re-faulting hundreds of megabytes. The world cannot run again afterwards.
+// Tests that inspect device buffers after Run simply never call Free.
 func (w *World) Free() {
+	w.K.Release()
 	for _, r := range w.ranks {
 		r.Dev.Release()
 	}

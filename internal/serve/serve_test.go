@@ -6,14 +6,17 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mpipart/internal/bench"
 	"mpipart/internal/cluster"
 	"mpipart/internal/runner"
 	"mpipart/internal/runner/store"
+	"mpipart/internal/sim"
 )
 
 // newTestDaemon boots a Server over a fresh disk store and wraps it in an
@@ -240,6 +243,32 @@ func TestModelOverrideDriftsMetrics(t *testing.T) {
 	}
 	if !again.Results[0].Metrics.Equal(b.Metrics) {
 		t.Fatal("default-model result changed after a model-override batch")
+	}
+}
+
+// TestColdModelOverridesDoNotLeakGoroutines: every cold request builds and
+// runs a fresh world. A world whose parked actors outlive the request pins
+// a goroutine (and the whole world) per request, so a long-running daemon
+// would grow without bound. N distinct perturbed models must leave the
+// goroutine count where it started.
+func TestColdModelOverridesDoNotLeakGoroutines(t *testing.T) {
+	s, _, _ := newTestDaemon(t)
+	const pt, n = "fig6/g=128/partitioned", 6
+	before := runtime.NumGoroutine()
+	for i := 0; i < n; i++ {
+		m := cluster.DefaultModel()
+		m.KernelLaunchCost += sim.Duration(i + 1)
+		res := s.Sweep(Request{Points: []string{pt}, Model: &m})
+		if r := res.Results[0]; r.Error != "" || r.Source != SourceComputed {
+			t.Fatalf("request %d: source %q, error %q; want a fresh computation", i, r.Source, r.Error)
+		}
+	}
+	// A goroutine that has signalled completion may still be exiting.
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d cold requests grew the goroutine count from %d to %d", n, before, got)
 	}
 }
 

@@ -4,8 +4,8 @@ package sim
 // microbenchmarks in kernelbench_test.go. The perf contract (see the
 // "Scheduler internals" section of the package doc) is that At and WaitUntil
 // allocate nothing in steady state — after warm-up has sized the event heap
-// and ring buffers — and that a stopped kernel releases every parked
-// goroutine.
+// and ring buffers — and that a stopped or released kernel unwinds every
+// parked proc coroutine.
 
 import (
 	"runtime"
@@ -248,9 +248,9 @@ func TestKernelScaleTaskAllocFree(t *testing.T) {
 }
 
 // TestStopReleasesParkedGoroutines is the regression test for the Stop leak:
-// abandoned procs used to stay parked on their wake channels forever, pinning
-// one goroutine (plus stack) per proc for the life of the process. Run on a
-// stopped kernel must drain them all.
+// abandoned procs used to stay parked forever, pinning one goroutine (plus
+// stack) per proc for the life of the process. Run on a stopped kernel must
+// drain them all.
 func TestStopReleasesParkedGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 5; round++ {
@@ -274,8 +274,8 @@ func TestStopReleasesParkedGoroutines(t *testing.T) {
 			t.Fatalf("round %d: %d procs still live after stopped Run", round, live)
 		}
 	}
-	// The drained goroutines are runnable (their wake channels were closed);
-	// give the Go scheduler a chance to run them to completion.
+	// Drained coroutines finish inside stop; the loop only gives any
+	// goroutine that is already exiting a chance to go.
 	for i := 0; i < 1000; i++ {
 		if runtime.NumGoroutine() <= before+2 {
 			return
@@ -284,6 +284,59 @@ func TestStopReleasesParkedGoroutines(t *testing.T) {
 	}
 	t.Fatalf("goroutine leak: %d before, %d after stopped runs",
 		before, runtime.NumGoroutine())
+}
+
+// TestReleaseUnwindsParkedDaemons: a completed Run leaves daemon procs and
+// Task bridge procs parked, each holding a coroutine. Release must unwind
+// every one, running the bodies' defers, so that the kernel holds no
+// goroutines; it must be idempotent and refuse to run during Run.
+func TestReleaseUnwindsParkedDaemons(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	c := NewCond(k, "idle")
+	unwound := 0
+	for i := 0; i < 4; i++ {
+		k.GoDaemon("daemon", func(p *Proc) {
+			defer func() { unwound++ }()
+			for {
+				c.Wait(p)
+			}
+		})
+	}
+	k.SpawnTaskDaemon("bridged", func(tk *Task) {
+		tk.CallProc(func(p *Proc) { p.Wait(5) })
+		tk.Then(func(tk *Task) { c.Await(tk) })
+	})
+	k.Go("release-in-run", func(p *Proc) {
+		defer func() {
+			if recover() == nil {
+				t.Error("Release during Run did not panic")
+			}
+		}()
+		k.Release()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.LiveProcs(); got != 5 {
+		t.Fatalf("%d procs parked after Run, want 4 daemons + 1 bridge", got)
+	}
+	k.Release()
+	k.Release()
+	if k.LiveActors() != 0 {
+		t.Fatalf("%d actors live after Release", k.LiveActors())
+	}
+	if unwound != 4 {
+		t.Fatalf("%d daemon defers ran, want 4", unwound)
+	}
+	// Drained coroutines exit inside stop; the loop only gives any other
+	// goroutine that is already exiting a chance to go.
+	for i := 0; i < 1000 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutine leak: %d before, %d after Release", before, n)
+	}
 }
 
 // TestStopDuringEventCallback stops the kernel from an event callback rather

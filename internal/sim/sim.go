@@ -1,9 +1,11 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation kernel. It is the substrate on which the whole GH200 testbed
 // reproduction runs: every simulated actor (MPI rank host thread, MPI
-// progression engine, GPU stream, NIC pipe) is a Proc — a goroutine that is
-// scheduled cooperatively, exactly one at a time, under a virtual nanosecond
-// clock.
+// progression engine, GPU stream, NIC pipe) is a Proc or a Task, scheduled
+// cooperatively, exactly one at a time, under a virtual nanosecond clock. A
+// Proc runs its body on a coroutine (iter.Pull, so Go 1.23 or later) that
+// the scheduler resumes by direct switch; a Task is a state machine run on
+// the scheduler's own stack (task.go).
 //
 // The design follows the classic SimPy "process interaction" model:
 //
@@ -34,6 +36,9 @@
 //     O(1) push/pop (see ring.go); the live set reaps in O(1) by index.
 //   - Blocked-proc diagnostics are a typed blockReason rendered lazily by
 //     describeBlocked — the hot path never calls fmt.
+//   - A proc resume is one coroutine switch each way (Proc.next /
+//     Proc.yield). It never enters the Go scheduler: no futex wake-up of an
+//     idle P, no trip through findRunnable.
 //   - Handoffs are fused where the outcome is forced: a timer wake with an
 //     empty run queue resumes the proc directly, a zero-length wait with
 //     nothing else runnable returns immediately, and same-timestamp event
@@ -185,20 +190,28 @@ func (r blockReason) String() string {
 	return ""
 }
 
-// procPoison unwinds a parked proc's goroutine when its kernel is drained
-// after Stop. It is recovered — and swallowed — by the spawn wrapper, so
-// user defers run and the goroutine (with its stack) is freed instead of
-// staying parked on its wake channel forever.
+// procPoison unwinds a parked proc's coroutine when its kernel is drained
+// (after Stop, or by Release). It is recovered — and swallowed — by
+// Proc.finish, so user defers run and the coroutine (with its stack) is
+// freed instead of staying parked forever.
 type procPoison struct{}
 
-// Proc is a simulated process. All methods must be called from the goroutine
-// running the Proc body (they yield control to the scheduler).
+// Proc is a simulated process. All methods must be called from the Proc's
+// own body (they yield control to the scheduler).
 type Proc struct {
-	k       *Kernel
-	name    string // prefix; nameID >= 0 appends a lazily-rendered integer
-	nameID  int
-	id      int
-	wake    chan struct{}
+	k      *Kernel
+	name   string // prefix; nameID >= 0 appends a lazily-rendered integer
+	nameID int
+	id     int
+	// The coroutine (see start): the scheduler resumes the body with next
+	// (false once it has returned), the body hands control back with yield
+	// (false once stop has been called), and stop unwinds a parked body.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	body  func(p *Proc)
+	owner *Task // bridge procs only: the Task whose CallProc bodies this runs
+
 	state   procState
 	reason  blockReason // diagnostic: what the proc is blocked on
 	liveIdx int         // index into k.live, for O(1) reap
@@ -342,11 +355,6 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-type yieldMsg struct {
-	p     *Proc
-	ended bool
-}
-
 // totalDispatched aggregates scheduler dispatches across every kernel in the
 // process (updated once per Run, not per event). cmd/benchgate reads it to
 // report events/sec.
@@ -387,7 +395,6 @@ type Kernel struct {
 	// Shards bounded-lag execution; maxTime means unwindowed.
 	windowEnd Time
 
-	yieldCh    chan yieldMsg
 	seq        uint64
 	nextID     int
 	live       []*Proc // all non-done procs, for deadlock diagnostics
@@ -396,7 +403,7 @@ type Kernel struct {
 	rng        *rand.Rand
 	shuffle    *rand.Rand // non-nil = schedule-perturbation mode (never k.rng)
 	stopped    bool
-	poisoned   bool // stopped kernel drained; parked procs unwind on wake
+	poisoned   bool // kernel drained; parked procs unwind instead of resuming
 	panicked   error
 	tracer     *Tracer
 	dispatched int64 // proc resumes + event callbacks, for perf reporting
@@ -426,7 +433,6 @@ func SetShuffleSeed(seed int64) { shuffleSeed.Store(seed) }
 // mode.
 func NewKernel(seed int64) *Kernel {
 	k := &Kernel{
-		yieldCh:   make(chan yieldMsg),
 		rng:       rand.New(rand.NewSource(seed)),
 		windowEnd: maxTime,
 	}
@@ -538,35 +544,43 @@ func (k *Kernel) spawn(name string, nameID int, body func(p *Proc)) *Proc {
 		name:    name,
 		nameID:  nameID,
 		id:      k.nextID,
-		wake:    make(chan struct{}),
+		body:    body,
 		state:   stateNew,
 		liveIdx: len(k.live),
 		dom:     k.cur,
 	}
 	k.live = append(k.live, p)
-	go func() {
-		<-p.wake // first dispatch
-		if k.poisoned {
-			return // kernel was stopped and drained before this proc ran
-		}
-		defer func() {
-			if r := recover(); r != nil {
-				if _, poison := r.(procPoison); poison {
-					// Stopped-kernel drain: the scheduler is gone; exit
-					// without touching the yield channel.
-					return
-				}
-				if k.panicked == nil {
-					k.panicked = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
-				}
-			}
-			p.state = stateDone
-			k.yieldCh <- yieldMsg{p: p, ended: true}
-		}()
-		body(p)
-	}()
+	p.start()
 	k.ready(p)
 	return p
+}
+
+// run is the body of p's coroutine. It starts on the first resume; a proc
+// drained before that never runs it at all.
+func (p *Proc) run(yield func(struct{}) bool) {
+	p.yield = yield
+	defer p.finish()
+	if p.owner != nil {
+		p.owner.bridgeLoop(p)
+		return
+	}
+	p.body(p)
+}
+
+// finish is the spawn wrapper's recovery: a panic in the body becomes the
+// kernel's error (a bridge proc reports its owning Task), and a poison
+// unwind is swallowed. Either way the coroutine returns, so the resume that
+// is waiting in handoff sees next report false and reaps the proc.
+func (p *Proc) finish() {
+	r := recover()
+	if _, poison := r.(procPoison); r != nil && !poison && p.k.panicked == nil {
+		if p.owner != nil {
+			p.k.panicked = &taskPanicError{t: p.owner, val: r}
+		} else {
+			p.k.panicked = fmt.Errorf("sim: proc %q panicked: %v", p.Name(), r)
+		}
+	}
+	p.state = stateDone
 }
 
 // GoDaemon creates a Proc like Go, but marks it as a daemon: a service
@@ -613,13 +627,8 @@ func (k *Kernel) resume(p *Proc) {
 // counting it again would inflate dispatches/sec.
 func (k *Kernel) handoff(p *Proc) {
 	p.state = stateRunning
-	p.wake <- struct{}{}
-	msg := <-k.yieldCh
-	if msg.p != p {
-		panic("sim: yield from unexpected proc " + msg.p.Name())
-	}
-	if msg.ended {
-		k.reap(p)
+	if _, ok := p.next(); !ok {
+		k.reap(p) // the body returned (or panicked into finish)
 	}
 }
 
@@ -637,20 +646,17 @@ func (k *Kernel) reap(p *Proc) {
 }
 
 // block is called from inside a Proc: it returns control to the scheduler
-// and parks until the proc is next made ready. On a poisoned (stopped and
-// drained) kernel it unwinds the proc instead, so the goroutine exits.
+// and parks until the proc is next made ready. On a drained kernel it
+// unwinds the proc instead, so the coroutine exits.
 func (p *Proc) block(state procState, on blockReason) {
-	k := p.k
-	if k.poisoned {
+	if p.k.poisoned {
 		// A defer running during a poison unwind re-entered the scheduler;
-		// nobody is listening on the yield channel any more.
+		// there is no scheduler to return to.
 		panic(procPoison{})
 	}
 	p.state = state
 	p.reason = on
-	k.yieldCh <- yieldMsg{p: p}
-	<-p.wake
-	if k.poisoned {
+	if !p.yield(struct{}{}) || p.k.poisoned {
 		panic(procPoison{})
 	}
 }
@@ -671,8 +677,8 @@ func (p *Proc) WaitUntil(t Time) {
 	k := p.k
 	if t <= k.now {
 		// Fused fast path: with no ready peers and no pending events, a
-		// zero-length wait would bounce through the scheduler (two channel
-		// handoffs) only to be resumed immediately with the clock unmoved.
+		// zero-length wait would bounce through the scheduler (a switch
+		// each way) only to be resumed immediately with the clock unmoved.
 		if k.noReady() && k.noEvents() {
 			return
 		}
@@ -760,7 +766,7 @@ func (k *Kernel) Run() error {
 	}
 	if k.stopped {
 		// A stopped kernel abandons blocked procs by design; drain releases
-		// their goroutines so the kernel is fully collectable.
+		// their coroutines so the kernel is fully collectable.
 		k.drain()
 		return nil
 	}
@@ -810,21 +816,35 @@ func (k *Kernel) runSingle() {
 }
 
 // Stop terminates the simulation at the end of the current dispatch. Blocked
-// procs are abandoned: when Run returns it poisons and wakes each one so its
-// goroutine unwinds and exits (previously they stayed parked forever,
-// pinning one goroutine plus stack per abandoned proc for the life of the
-// process). Intended for benchmarks that only need a prefix of the simulated
-// execution.
+// procs are abandoned: before Run returns it drains them, so each one's
+// coroutine unwinds and exits instead of pinning a stack for the life of
+// the process. Intended for benchmarks that only need a prefix of the
+// simulated execution.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// drain releases every parked proc of a stopped kernel. Closing the wake
-// channel wakes the proc wherever it is parked; block (or the first-dispatch
-// wrapper) observes the poisoned flag and unwinds via a poison panic that
-// the spawn wrapper swallows. After drain the kernel holds no goroutines.
+// Release unwinds every actor still parked after Run — the daemon procs a
+// completed simulation leaves behind (Task bridges, service loops) — so the
+// kernel holds no goroutines and everything its actors reference can be
+// collected. Without it each parked coroutine pins its whole world for the
+// life of the process. Call it once the results have been read; the kernel
+// cannot run again afterwards. Release is idempotent and panics if called
+// during Run. (Run itself does not release: a kernel may be run again
+// after more work is scheduled.)
+func (k *Kernel) Release() {
+	if k.running {
+		panic("sim: Release called during Run")
+	}
+	k.drain()
+}
+
+// drain releases every parked proc. stop resumes each coroutine with yield
+// reporting false; block unwinds via a poison panic that finish swallows
+// (a proc that never ran is simply discarded). After drain the kernel holds
+// no goroutines.
 func (k *Kernel) drain() {
 	k.poisoned = true
 	for _, p := range k.live {
-		close(p.wake)
+		p.stop()
 	}
 	k.live = nil
 	// Tasks hold no goroutines; dropping the live set abandons them.
