@@ -41,6 +41,9 @@ type ScaleStats struct {
 // broadcast rounds through it. Every round wakes and re-parks every actor,
 // so rounds×actors dispatches flow through the Task wake path.
 func MeasureKernelScale(actors, rounds int) ScaleStats {
+	// Two collections settle the baseline: objects freed by the first one's
+	// finalizers only go in the second.
+	runtime.GC()
 	runtime.GC()
 	var ms0 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
@@ -66,7 +69,9 @@ func MeasureKernelScale(actors, rounds int) ScaleStats {
 		runtime.GC()
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		st.BytesPerActor = float64(ms1.HeapAlloc-ms0.HeapAlloc) / float64(actors)
+		// Signed: garbage from before the baseline can be freed here too,
+		// and an unsigned difference would wrap instead of going negative.
+		st.BytesPerActor = float64(int64(ms1.HeapAlloc)-int64(ms0.HeapAlloc)) / float64(actors)
 		for r := 0; r < rounds; r++ {
 			c.Broadcast()
 			p.Wait(1)

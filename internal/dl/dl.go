@@ -82,11 +82,12 @@ type model struct {
 	cfg  Config
 	w    []float64 // parameters (identical on every rank)
 	grad []float64 // per-step gradients (the allreduce buffer)
-	x, y []float64 // this rank's data shard
-	sh   *shard
+	// x and grad0 are this rank's data shard and its step-0 gradient:
+	// read-only prefixes of the rank's memo (see shardCache).
+	x, grad0 []float64
 	// gradLaunched flips after the first gradient launch: that pass (and
-	// only that pass) runs from the untouched initial weights and may use
-	// the shard's memoized step-0 gradient.
+	// only that pass) runs from the untouched initial weights and may copy
+	// grad0 instead of computing it.
 	gradLaunched bool
 }
 
@@ -104,75 +105,70 @@ func label(rank, i int) float64 {
 	return 0
 }
 
-// shardCache memoizes the pseudo-dataset per (rank, params). The shards are
-// pure functions of their key and read-only after construction, so sharing
-// them across models — and across concurrently simulated worlds — changes no
-// results; it only stops every benchmark point from re-evaluating Params
-// sines (which dominated model construction in profiles).
+// w0 is every parameter's initial value (set in newModel).
+const w0 = 0.1
+
+// shardCache memoizes, per rank, the features and the step-0 gradient.
+// Both are pure functions of (rank, i), so a model with p parameters needs
+// exactly the first p elements of the longest arrays computed so far: one
+// memo per rank serves every model size, and a smaller model's shard
+// aliases a prefix of a larger one's. Published arrays are never written
+// again — a longer request builds new arrays holding the old prefix plus
+// the missing tail — so models in concurrently simulated worlds share them
+// freely. This only saves host work (Params sines per model build, which
+// dominated construction in profiles); the kernels' virtual-time cost comes
+// from WaveTime either way.
+//
+// The step-0 gradient is memoized because every run of every variant on
+// every topology starts from the same constant weights, so its first
+// gradient pass depends on (rank, i) alone. Later steps are computed by the
+// kernel from the weights the run actually holds: the variants' reduction
+// orders happen to give bit-equal weights on every topology measured, but
+// nothing guarantees that, so no memo relies on it.
 var shardCache struct {
 	sync.Mutex
-	m map[[2]int]*shard
+	m map[int]shard
 }
 
-type shard struct {
-	x, y []float64
-	// grad0 is the gradient of the FIRST training step, memoized lazily:
-	// every variant on every topology starts from the same constant weights
-	// (w[i] = 0.1, set in newModel), so the step-0 gradient is a pure
-	// function of (rank, params) — unlike later steps, whose weights diverge
-	// per variant with the reduction order. The kernel's virtual-time cost
-	// comes from WaveTime either way; this only avoids recomputing identical
-	// sigmoids across the six variant×topology runs of each shard.
-	grad0     []float64
-	grad0Once sync.Once
-}
+type shard struct{ x, grad0 []float64 }
 
-// gradStep0 returns the memoized step-0 gradient, computing it on first use
-// with exactly the expressions (and therefore bits) of the gradient kernel.
-func (s *shard) gradStep0() []float64 {
-	s.grad0Once.Do(func() {
-		g := make([]float64, len(s.x))
-		const w0 = 0.1 // newModel's initial weight
-		for i, xi := range s.x {
-			pred := sigmoid(w0 * xi)
-			g[i] = (pred - s.y[i]) * xi
-		}
-		s.grad0 = g
-	})
-	return s.grad0
-}
-
-func dataShard(rank, params int) *shard {
-	key := [2]int{rank, params}
+// dataShard returns rank's first params features and step-0 gradients,
+// extending the rank's memo when params exceeds it. The step-0 gradient
+// uses exactly the gradient kernel's expressions, and therefore its bits.
+func dataShard(rank, params int) shard {
 	shardCache.Lock()
 	defer shardCache.Unlock()
-	if s := shardCache.m[key]; s != nil {
-		return s
+	s := shardCache.m[rank]
+	if n := len(s.x); n < params {
+		x := make([]float64, params)
+		g := make([]float64, params)
+		copy(x, s.x)
+		copy(g, s.grad0)
+		for i := n; i < params; i++ {
+			x[i] = feature(rank, i)
+			pred := sigmoid(w0 * x[i])
+			g[i] = (pred - label(rank, i)) * x[i]
+		}
+		s = shard{x: x, grad0: g}
+		if shardCache.m == nil {
+			shardCache.m = make(map[int]shard)
+		}
+		shardCache.m[rank] = s
 	}
-	s := &shard{x: make([]float64, params), y: make([]float64, params)}
-	for i := 0; i < params; i++ {
-		s.x[i] = feature(rank, i)
-		s.y[i] = label(rank, i)
-	}
-	if shardCache.m == nil {
-		shardCache.m = make(map[[2]int]*shard)
-	}
-	shardCache.m[key] = s
-	return s
+	return shard{x: s.x[:params:params], grad0: s.grad0[:params:params]}
 }
 
 func newModel(r *mpi.Rank, cfg Config) *model {
 	sh := dataShard(r.ID, cfg.Params)
 	m := &model{
 		r: r, cfg: cfg,
-		w:    r.Dev.Alloc(cfg.Params),
-		grad: r.Dev.Alloc(cfg.Params),
-		x:    sh.x,
-		y:    sh.y,
-		sh:   sh,
+		w:     r.Dev.Alloc(cfg.Params),
+		grad:  r.Dev.Alloc(cfg.Params),
+		x:     sh.x,
+		grad0: sh.grad0,
 	}
 	for i := 0; i < cfg.Params; i++ {
-		m.w[i] = 0.1
+		m.w[i] = w0
 	}
 	return m
 }
@@ -182,15 +178,15 @@ func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 // gradientSpec builds the BCE gradient kernel. onBlockDone hooks the
 // partitioned variant's device-side Pready.
 func (m *model) gradientSpec(onBlockDone func(b *gpu.BlockCtx)) gpu.KernelSpec {
-	// The first launch computes from the constant initial weights; its
-	// result is shared across variants through the shard memo, resolved here
-	// on the host (kernel bodies stay free of host-side constructs like the
-	// memo's sync.Once).
+	// The first launch computes from the constant initial weights, so it
+	// copies the memoized step-0 gradient. The choice is made here on the
+	// host; the kernel body only reads what it captured.
 	var grad0 []float64
 	if !m.gradLaunched {
-		grad0 = m.sh.gradStep0()
+		grad0 = m.grad0
 	}
 	m.gradLaunched = true
+	rank := m.r.ID
 	return gpu.KernelSpec{
 		Name:     "bce-grad",
 		Grid:     m.cfg.Params / m.cfg.BlockSize,
@@ -200,16 +196,17 @@ func (m *model) gradientSpec(onBlockDone func(b *gpu.BlockCtx)) gpu.KernelSpec {
 			// The block's threads cover one contiguous range (Params is a
 			// multiple of BlockSize); iterating equal-length subslices lets
 			// the compiler drop the per-element bounds checks that dominated
-			// this kernel in profiles. Same expressions, same rounding.
+			// this kernel in profiles. Labels are computed, not loaded, so
+			// the loop streams three arrays. Same expressions, same rounding.
 			lo := b.ThreadBase()
 			hi := lo + b.Dim
 			if grad0 != nil {
 				copy(m.grad[lo:hi], grad0[lo:hi])
 			} else {
-				w, x, y, g := m.w[lo:hi], m.x[lo:hi], m.y[lo:hi], m.grad[lo:hi]
+				w, x, g := m.w[lo:hi], m.x[lo:hi], m.grad[lo:hi]
 				for i, wi := range w {
 					pred := sigmoid(wi * x[i])
-					g[i] = (pred - y[i]) * x[i]
+					g[i] = (pred - label(rank, lo+i)) * x[i]
 				}
 			}
 			if onBlockDone != nil {

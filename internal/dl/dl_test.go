@@ -1,7 +1,9 @@
 package dl
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"mpipart/internal/cluster"
@@ -145,5 +147,106 @@ func TestTrainingReducesLossDirection(t *testing.T) {
 	got := refSum(cfg, 4)
 	if got == w0 {
 		t.Fatal("weights unchanged after training")
+	}
+}
+
+// shardErr checks a shard against the pure data functions: exactly
+// feature(rank, i), and the gradient kernel's step-0 expression bit for bit.
+func shardErr(rank, params int, s shard) error {
+	if len(s.x) != params || cap(s.x) != params || len(s.grad0) != params || cap(s.grad0) != params {
+		return fmt.Errorf("rank %d params %d: len/cap x %d/%d grad0 %d/%d",
+			rank, params, len(s.x), cap(s.x), len(s.grad0), cap(s.grad0))
+	}
+	for i := range s.x {
+		x := feature(rank, i)
+		pred := sigmoid(w0 * x)
+		g := (pred - label(rank, i)) * x
+		if math.Float64bits(s.x[i]) != math.Float64bits(x) || math.Float64bits(s.grad0[i]) != math.Float64bits(g) {
+			return fmt.Errorf("rank %d params %d: element %d is (%v, %v), want (%v, %v)",
+				rank, params, i, s.x[i], s.grad0[i], x, g)
+		}
+	}
+	return nil
+}
+
+// The memo's ranks here are far above any simulated world's, so these
+// tests own their entries whatever else the package has run.
+
+func TestShardMemoGrowShrinkGrow(t *testing.T) {
+	const rank = 1000
+	var old shard
+	for _, params := range []int{2048, 512, 4096, 1024, 8192} {
+		s := dataShard(rank, params)
+		if err := shardErr(rank, params, s); err != nil {
+			t.Fatal(err)
+		}
+		if old.x != nil {
+			// Growing builds new arrays: shards already handed out keep
+			// their values.
+			if err := shardErr(rank, len(old.x), old); err != nil {
+				t.Fatal(err)
+			}
+		}
+		old = s
+	}
+}
+
+func TestShardMemoConcurrent(t *testing.T) {
+	sizes := []int{1024, 8192, 256, 4096, 2048, 512}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range sizes {
+				rank := 1100 + (g+j)%3
+				params := sizes[(g+j)%len(sizes)]
+				if err := shardErr(rank, params, dataShard(rank, params)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestShardMemoSharesPrefix guards the memo's memory bound: a smaller model
+// reads a prefix of the rank's one array instead of a copy of its own.
+func TestShardMemoSharesPrefix(t *testing.T) {
+	const rank = 1200
+	big := dataShard(rank, 4096)
+	small := dataShard(rank, 1024)
+	if &small.x[0] != &big.x[0] || &small.grad0[0] != &big.grad0[0] {
+		t.Fatal("smaller shard does not alias the larger shard's prefix")
+	}
+	bigger := dataShard(rank, 8192)
+	if again := dataShard(rank, 4096); &again.x[0] != &bigger.x[0] || &again.grad0[0] != &bigger.grad0[0] {
+		t.Fatal("after growth, shards do not alias the grown arrays")
+	}
+}
+
+// BenchmarkGradientKernel times one BCE gradient pass of a one-rank world at
+// g=128 (128 blocks of 1024 threads). The step-0 pass, which copies the
+// memo, runs before the timer starts, so every timed pass computes.
+func BenchmarkGradientKernel(b *testing.B) {
+	cfg := Config{Params: 128 * 1024, Steps: 1}.withDefaults()
+	w := mpi.NewWorld(cluster.Topology{Nodes: 1, GPUsPerNode: 1}, cluster.DefaultModel(), 1)
+	defer w.Free()
+	w.Spawn(func(r *mpi.Rank) {
+		p := r.Proc()
+		m := newModel(r, cfg)
+		r.Stream.Launch(m.gradientSpec(nil))
+		r.Stream.Synchronize(p)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.Stream.Launch(m.gradientSpec(nil))
+			r.Stream.Synchronize(p)
+		}
+		b.StopTimer()
+	})
+	if err := w.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -16,7 +16,6 @@ package gpu
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"mpipart/internal/cluster"
@@ -37,8 +36,6 @@ var slabPool struct {
 	sync.Mutex
 	bySize map[int][][]float64
 }
-
-var slabPoolOff = os.Getenv("MPIPART_NO_SLAB_POOL") != ""
 
 // Device is one simulated Hopper GPU (the accelerator half of a GH200
 // superchip).
@@ -111,7 +108,7 @@ func (d *Device) Alloc(n int) []float64 {
 // extracting scalar metrics); after Release the buffers' contents are
 // undefined.
 func (d *Device) Release() {
-	if len(d.allocs) == 0 || slabPoolOff {
+	if len(d.allocs) == 0 {
 		return
 	}
 	slabPool.Lock()
@@ -150,9 +147,10 @@ func (d *Device) String() string { return fmt.Sprintf("gpu%d(node%d)", d.ID, d.N
 // both pinned host memory flags (visible to host pollers the moment a
 // device store is delivered over C2C) and device-global flag arrays.
 type Flags struct {
-	name string
-	vals []int64
-	cond *sim.Cond
+	name    string
+	vals    []int64
+	nonZero int // how many vals are non-zero, kept by every write
+	cond    *sim.Cond
 }
 
 // NewFlags allocates n zeroed flags.
@@ -176,15 +174,27 @@ func (f *Flags) Get(i int) int64 { return f.vals[i] }
 
 // Set stores v into flag i and wakes waiters.
 func (f *Flags) Set(i int, v int64) {
-	f.vals[i] = v
+	f.store(i, v)
 	f.cond.Broadcast()
 }
 
 // Add increments flag i by delta and wakes waiters; it returns the new value.
 func (f *Flags) Add(i int, delta int64) int64 {
-	f.vals[i] += delta
+	f.store(i, f.vals[i]+delta)
 	f.cond.Broadcast()
 	return f.vals[i]
+}
+
+// store writes flag i and keeps the non-zero count in step.
+func (f *Flags) store(i int, v int64) {
+	if (f.vals[i] != 0) != (v != 0) {
+		if v != 0 {
+			f.nonZero++
+		} else {
+			f.nonZero--
+		}
+	}
+	f.vals[i] = v
 }
 
 // Reset zeroes every flag (start of a new communication epoch).
@@ -192,19 +202,13 @@ func (f *Flags) Reset() {
 	for i := range f.vals {
 		f.vals[i] = 0
 	}
+	f.nonZero = 0
 	f.cond.Broadcast()
 }
 
-// CountNonZero returns how many flags are set.
-func (f *Flags) CountNonZero() int {
-	n := 0
-	for _, v := range f.vals {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
+// CountNonZero returns how many flags are set, in O(1): it runs inside
+// WaitCountNonZero's predicate on every broadcast.
+func (f *Flags) CountNonZero() int { return f.nonZero }
 
 // Cond exposes the change-notification condition for pollers.
 func (f *Flags) Cond() *sim.Cond { return f.cond }

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -342,6 +343,42 @@ func TestFlagsPrimitives(t *testing.T) {
 	f.Reset()
 	if f.CountNonZero() != 0 {
 		t.Fatal("reset")
+	}
+}
+
+// TestFlagsCountNonZeroProperty checks the maintained non-zero count
+// against a scan of the flags after every write of seeded random Set, Add
+// and Reset sequences, including writes of 0 and negative deltas that
+// return a flag to zero.
+func TestFlagsCountNonZeroProperty(t *testing.T) {
+	k := sim.NewKernel(1)
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		f := NewFlags(k, "t", 1+rng.Intn(16))
+		for step := 0; step < 500; step++ {
+			i, op := rng.Intn(f.Len()), rng.Intn(10)
+			switch {
+			case op < 4:
+				f.Set(i, int64(rng.Intn(3)-1)) // -1, 0 or 1
+			case op < 9:
+				if rng.Intn(2) == 0 {
+					f.Add(i, -f.Get(i)) // back to zero
+				} else {
+					f.Add(i, int64(rng.Intn(5)-2))
+				}
+			default:
+				f.Reset()
+			}
+			want := 0
+			for j := 0; j < f.Len(); j++ {
+				if f.Get(j) != 0 {
+					want++
+				}
+			}
+			if got := f.CountNonZero(); got != want {
+				t.Fatalf("seed %d step %d: CountNonZero = %d, scan = %d", seed, step, got, want)
+			}
+		}
 	}
 }
 
