@@ -11,7 +11,7 @@ import "encoding/json"
 // simulated results did not move.
 
 // PerfSchema versions the BENCH_PERF.json layout. Schema 2 adds the
-// domain-sharding and event-elision breakdown: the kernel can now absorb
+// event-elision breakdown: the kernel can now absorb
 // events into closed-form paths (pipe staged-transfer fusion, lazily
 // settled put completions), so raw dispatches undercount the work actually
 // simulated. EffectiveEventsPerSec — (dispatches + elided) / wall — is the
@@ -37,12 +37,6 @@ type Perf struct {
 	// DispatchesPerSec is Dispatches divided by the wall time — the
 	// events/sec figure the kernel microbenchmarks optimize for.
 	DispatchesPerSec float64 `json:"dispatches_per_sec"`
-	// Domains is the virtual-time domain count the gate worlds ran with
-	// (schema 2; 1 = unsharded).
-	Domains int `json:"domains,omitempty"`
-	// PerDomainDispatches breaks Dispatches down by domain for sharded
-	// runs (schema 2; omitted when Domains <= 1).
-	PerDomainDispatches []int64 `json:"per_domain_dispatches,omitempty"`
 	// ElidedEvents counts scheduler events absorbed by closed-form elision
 	// instead of being dispatched (schema 2), from sim.TotalElided.
 	ElidedEvents int64 `json:"elided_events,omitempty"`

@@ -17,8 +17,6 @@ func TestPerfSchemaRoundTrip(t *testing.T) {
 		WallMS:                300,
 		Dispatches:            90000,
 		DispatchesPerSec:      300000,
-		Domains:               2,
-		PerDomainDispatches:   []int64{60000, 30000},
 		ElidedEvents:          7000,
 		EffectiveEventsPerSec: 323333,
 		LiveActors:            100000,
@@ -32,8 +30,7 @@ func TestPerfSchemaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Domains != 2 || back.ElidedEvents != 7000 || back.EffectiveEventsPerSec != 323333 ||
-		len(back.PerDomainDispatches) != 2 || back.PerDomainDispatches[1] != 30000 {
+	if back.ElidedEvents != 7000 || back.EffectiveEventsPerSec != 323333 {
 		t.Fatalf("schema-2 fields lost: %+v", back)
 	}
 
@@ -45,7 +42,7 @@ func TestPerfSchemaRoundTrip(t *testing.T) {
 	if old.Schema != 1 || old.Dispatches != 97053 {
 		t.Fatalf("schema-1 payload misdecoded: %+v", old)
 	}
-	if old.Domains != 0 || old.ElidedEvents != 0 || old.EffectiveEventsPerSec != 0 {
+	if old.ElidedEvents != 0 || old.EffectiveEventsPerSec != 0 {
 		t.Fatalf("schema-1 payload grew phantom schema-2 fields: %+v", old)
 	}
 
@@ -54,7 +51,7 @@ func TestPerfSchemaRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"domains", "per_domain_dispatches", "elided_events", "effective_events_per_sec"} {
+	for _, key := range []string{"elided_events", "effective_events_per_sec"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("encoded sidecar missing %q", key)
 		}

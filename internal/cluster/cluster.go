@@ -11,6 +11,9 @@ package cluster
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 
 	"mpipart/internal/sim"
 )
@@ -38,22 +41,6 @@ func (t Topology) NodeOf(g int) int { return g / t.GPUsPerNode }
 
 // SameNode reports whether two global GPU ids share a node.
 func (t Topology) SameNode(a, b int) bool { return t.NodeOf(a) == t.NodeOf(b) }
-
-// DomainOf maps global GPU id g onto one of `domains` virtual-time domains.
-// Domains never split a node — all intra-node traffic (NVLink, zero-latency
-// host paths) stays domain-local, so only cross-node fabric pipes, whose
-// latency provides the conservative lookahead, carry cross-domain events.
-// With domains >= Nodes the mapping is one domain per node; fewer domains
-// group contiguous nodes evenly.
-func (t Topology) DomainOf(g, domains int) int {
-	if domains > t.Nodes {
-		domains = t.Nodes
-	}
-	if domains <= 1 {
-		return 0
-	}
-	return t.NodeOf(g) * domains / t.Nodes
-}
 
 // Validate reports whether the topology is usable.
 func (t Topology) Validate() error {
@@ -245,6 +232,56 @@ func DefaultModel() Model {
 		SchedBuildPerStep:   sim.Microseconds(2.4),
 		CollInitBase:        sim.Microseconds(39),
 	}
+}
+
+// modelFields lists Model's fields once, so Validate walks them without
+// allocating.
+var modelFields = reflect.VisibleFields(reflect.TypeOf(Model{}))
+
+// positiveModelFields must be strictly positive: with zero SMs no kernel
+// wave ever completes, and a zero poll interval spins the progression
+// engine without advancing virtual time — either way the simulation never
+// ends.
+var positiveModelFields = map[string]bool{
+	"SMs": true, "MaxThreadsPerSM": true, "MaxBlocksPerSM": true,
+	"ProgressPollInterval": true,
+}
+
+// Validate reports whether every cost parameter is usable: SMs,
+// MaxThreadsPerSM, MaxBlocksPerSM and ProgressPollInterval must be > 0;
+// every other duration and integer (EagerThresholdBytes) must be >= 0;
+// every *BytesPerSec bandwidth must be finite and > 0, and MemMapPerByte
+// finite and >= 0.
+func (m *Model) Validate() error {
+	v := reflect.ValueOf(m).Elem()
+	for _, sf := range modelFields {
+		f := v.FieldByIndex(sf.Index)
+		bad := ""
+		switch {
+		case positiveModelFields[sf.Name]:
+			if f.Int() <= 0 {
+				bad = "must be > 0"
+			}
+		case f.CanInt():
+			if f.Int() < 0 {
+				bad = "must be >= 0"
+			}
+		case f.CanFloat():
+			x := f.Float()
+			switch {
+			case math.IsNaN(x) || math.IsInf(x, 0):
+				bad = "must be finite"
+			case strings.HasSuffix(sf.Name, "BytesPerSec") && x <= 0:
+				bad = "must be > 0"
+			case x < 0:
+				bad = "must be >= 0"
+			}
+		}
+		if bad != "" {
+			return fmt.Errorf("cluster: invalid model: %s = %v %s", sf.Name, f.Interface(), bad)
+		}
+	}
+	return nil
 }
 
 // ResidentBlocksPerSM returns how many blocks of the given size can be

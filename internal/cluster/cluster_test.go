@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -173,5 +175,55 @@ func TestOccupancyBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestModelValidate covers every Validate rule: the calibrated default
+// passes, and each override class that would hang the simulator or
+// silently mis-time it is rejected with the offending field named.
+func TestModelValidate(t *testing.T) {
+	def := DefaultModel()
+	if err := def.Validate(); err != nil {
+		t.Fatalf("DefaultModel invalid: %v", err)
+	}
+	cases := []struct {
+		name  string
+		field string
+		edit  func(m *Model)
+	}{
+		{"zero SMs", "SMs", func(m *Model) { m.SMs = 0 }},
+		{"zero MaxThreadsPerSM", "MaxThreadsPerSM", func(m *Model) { m.MaxThreadsPerSM = 0 }},
+		{"negative MaxBlocksPerSM", "MaxBlocksPerSM", func(m *Model) { m.MaxBlocksPerSM = -1 }},
+		{"zero ProgressPollInterval", "ProgressPollInterval", func(m *Model) { m.ProgressPollInterval = 0 }},
+		{"negative IBLatency", "IBLatency", func(m *Model) { m.IBLatency = -1000 }},
+		{"negative StreamSyncCost", "StreamSyncCost", func(m *Model) { m.StreamSyncCost = -5000 }},
+		{"negative CollInitBase", "CollInitBase", func(m *Model) { m.CollInitBase = -1 }},
+		{"zero IBBytesPerSec", "IBBytesPerSec", func(m *Model) { m.IBBytesPerSec = 0 }},
+		{"negative NVLinkBytesPerSec", "NVLinkBytesPerSec", func(m *Model) { m.NVLinkBytesPerSec = -1 }},
+		{"NaN C2CBytesPerSec", "C2CBytesPerSec", func(m *Model) { m.C2CBytesPerSec = math.NaN() }},
+		{"+Inf ShmBytesPerSec", "ShmBytesPerSec", func(m *Model) { m.ShmBytesPerSec = math.Inf(1) }},
+		{"-Inf CPUReduceBytesPerSec", "CPUReduceBytesPerSec", func(m *Model) { m.CPUReduceBytesPerSec = math.Inf(-1) }},
+		{"negative MemMapPerByte", "MemMapPerByte", func(m *Model) { m.MemMapPerByte = -0.5 }},
+		{"NaN MemMapPerByte", "MemMapPerByte", func(m *Model) { m.MemMapPerByte = math.NaN() }},
+		{"+Inf MemMapPerByte", "MemMapPerByte", func(m *Model) { m.MemMapPerByte = math.Inf(1) }},
+		{"negative EagerThresholdBytes", "EagerThresholdBytes", func(m *Model) { m.EagerThresholdBytes = -1 }},
+	}
+	for _, tc := range cases {
+		m := DefaultModel()
+		tc.edit(&m)
+		err := m.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.field)
+		}
+	}
+	// Zero is a legal cost and a legal MemMapPerByte / EagerThresholdBytes.
+	m := DefaultModel()
+	m.IBLatency, m.StreamSyncCost, m.MemMapPerByte, m.EagerThresholdBytes = 0, 0, 0, 0
+	if err := m.Validate(); err != nil {
+		t.Errorf("zero costs rejected: %v", err)
 	}
 }

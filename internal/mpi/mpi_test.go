@@ -3,6 +3,7 @@ package mpi
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -25,6 +26,22 @@ func TestWorldConstruction(t *testing.T) {
 			t.Fatalf("rank %d misconstructed", i)
 		}
 	}
+}
+
+// TestNewWorldRejectsInvalidModel: a model that would hang the simulation
+// (zero SMs: no kernel wave ever completes) panics at construction, the
+// same way an invalid topology does.
+func TestNewWorldRejectsInvalidModel(t *testing.T) {
+	m := cluster.DefaultModel()
+	m.SMs = 0
+	defer func() {
+		r := recover()
+		err, ok := r.(error)
+		if !ok || !strings.Contains(err.Error(), "SMs") {
+			t.Fatalf("NewWorld with SMs=0: recovered %v, want a validation error naming SMs", r)
+		}
+	}()
+	NewWorld(cluster.TwoNodeGH200(), m, 1)
 }
 
 func TestSendRecvDeliversData(t *testing.T) {

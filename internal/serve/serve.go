@@ -145,10 +145,39 @@ func CatalogIDs() []string {
 
 // Sweep executes one batch and returns per-point results in request order.
 // Points fan out concurrently; the batcher bounds simultaneous simulations
-// and coalesces identical keys, within this batch and across batches.
+// and coalesces identical keys, within this batch and across batches. An
+// invalid model override fails every point with the validation error and
+// simulates nothing.
 func (s *Server) Sweep(req Request) Response {
-	cat := catalogFor(req.Model)
 	results := make([]PointResult, len(req.Points))
+	if err := validateModel(req.Model); err != nil {
+		for i, id := range req.Points {
+			results[i] = PointResult{Point: id, Source: SourceError, Error: err.Error()}
+		}
+	} else {
+		s.run(req, results)
+	}
+	for _, pr := range results {
+		s.col.record(RequestMetrics{
+			Point: pr.Point, Key: pr.Key, Source: pr.Source,
+			QueueUS: pr.QueueUS, ComputeUS: pr.ComputeUS, TotalUS: pr.TotalUS,
+		})
+	}
+	s.col.batchDone()
+	return Response{Results: results}
+}
+
+// validateModel checks an optional model override.
+func validateModel(m *cluster.Model) error {
+	if m == nil {
+		return nil
+	}
+	return m.Validate()
+}
+
+// run evaluates the batch's points into results.
+func (s *Server) run(req Request, results []PointResult) {
+	cat := catalogFor(req.Model)
 	var wg sync.WaitGroup
 	for i, id := range req.Points {
 		i, id := i, id
@@ -177,14 +206,6 @@ func (s *Server) Sweep(req Request) Response {
 		}()
 	}
 	wg.Wait()
-	for _, pr := range results {
-		s.col.record(RequestMetrics{
-			Point: pr.Point, Key: pr.Key, Source: pr.Source,
-			QueueUS: pr.QueueUS, ComputeUS: pr.ComputeUS, TotalUS: pr.TotalUS,
-		})
-	}
-	s.col.batchDone()
-	return Response{Results: results}
 }
 
 // Metrics returns the current metrics snapshot.
@@ -220,6 +241,10 @@ func (s *Server) Handler() http.Handler {
 		}
 		if len(req.Points) == 0 {
 			http.Error(w, "bad request: no points", http.StatusBadRequest)
+			return
+		}
+		if err := validateModel(req.Model); err != nil {
+			http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 			return
 		}
 		writeJSON(w, s.Sweep(req))

@@ -272,6 +272,58 @@ func TestColdModelOverridesDoNotLeakGoroutines(t *testing.T) {
 	}
 }
 
+// TestInvalidModelOverrideFailsFast: a model override that would hang the
+// simulator (zero SMs, zero progression poll interval) fails every point
+// with the validation error at once — nothing is computed or stored — and
+// POST /sweep rejects it with 400.
+func TestInvalidModelOverrideFailsFast(t *testing.T) {
+	s, ts, ds := newTestDaemon(t)
+	const pt = "fig4/g=8/prog_engine"
+	for _, tc := range []struct {
+		field string
+		edit  func(m *cluster.Model)
+	}{
+		{"SMs", func(m *cluster.Model) { m.SMs = 0 }},
+		{"ProgressPollInterval", func(m *cluster.Model) { m.ProgressPollInterval = 0 }},
+	} {
+		m := cluster.DefaultModel()
+		tc.edit(&m)
+		req := Request{Points: []string{pt, "no/such/point"}, Model: &m}
+		done := make(chan Response, 1)
+		go func() { done <- s.Sweep(req) }()
+		select {
+		case res := <-done:
+			for _, r := range res.Results {
+				if r.Source != SourceError || !strings.Contains(r.Error, tc.field) || r.Metrics != nil {
+					t.Fatalf("%s=0: result %+v, want a validation error naming %s", tc.field, r, tc.field)
+				}
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s=0: Sweep did not return within 1s", tc.field)
+		}
+
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := &http.Client{Timeout: time.Second}
+		resp, err := client.Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s=0: POST /sweep: %v", tc.field, err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s=0: POST /sweep status %d, want 400", tc.field, resp.StatusCode)
+		}
+	}
+	if tot := s.Metrics().Totals; tot.Computed != 0 {
+		t.Fatalf("invalid models computed %d points", tot.Computed)
+	}
+	if st := ds.Stats(); st.Saves != 0 {
+		t.Fatalf("invalid models stored %d entries", st.Saves)
+	}
+}
+
 func TestMetricsEndpointJSONAndCSV(t *testing.T) {
 	_, ts, _ := newTestDaemon(t)
 	c := NewClient(ts.URL)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"sync"
 )
 
 // TraceEvent is one recorded event: a span (duration) or an instant on a
@@ -26,15 +25,9 @@ type TraceKV struct {
 }
 
 // Tracer records TraceEvents when attached to a Kernel. A nil *Tracer is
-// valid and records nothing, so instrumentation sites need no guards.
-//
-// Recording is race-safe: one Tracer may be attached to several shard
-// kernels running concurrently (sim.Shards). Events from one kernel keep
-// their recording order; the interleaving between concurrently-recording
-// kernels follows wall-clock arrival, so deterministic fixtures should use
-// one tracer per shard and merge by virtual time.
+// valid and records nothing, so instrumentation sites need no guards. Like
+// the kernel it belongs to, a Tracer is not safe for concurrent use.
 type Tracer struct {
-	mu     sync.Mutex
 	events []TraceEvent
 }
 
@@ -52,11 +45,9 @@ func (t *Tracer) Span(track, name string, start, end Time, args ...TraceKV) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.events = append(t.events, TraceEvent{
 		Track: track, Name: name, At: start, Dur: Duration(end - start), Args: args,
 	})
-	t.mu.Unlock()
 }
 
 // Instant records a point event.
@@ -64,9 +55,7 @@ func (t *Tracer) Instant(track, name string, at Time, args ...TraceKV) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
 	t.events = append(t.events, TraceEvent{Track: track, Name: name, At: at, Args: args})
-	t.mu.Unlock()
 }
 
 // Events returns the recorded events in recording order.
@@ -74,8 +63,6 @@ func (t *Tracer) Events() []TraceEvent {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.events
 }
 
@@ -84,8 +71,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return len(t.events)
 }
 
@@ -118,8 +103,6 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		_, err := io.WriteString(w, "[]")
 		return err
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	// Assign stable tids: sorted track names.
 	trackSet := map[string]bool{}
 	for _, e := range t.events {
