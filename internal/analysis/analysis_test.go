@@ -499,66 +499,6 @@ func (e *Engine) finishItem(didWork, stillActive bool) {
 func (e *Engine) describe() string { return fmt.Sprintf("%d items", len(e.items)) }
 `,
 		},
-		{
-			// The staged pipe-transfer path is designated: formatting in
-			// TransferStaged and string concatenation in a staged-group
-			// callback runner fire.
-			name:     "hotpathalloc_staged_bad",
-			analyzer: "hotpathalloc",
-			pkgPath:  "mpipart/internal/sim",
-			src: `package sim
-import "fmt"
-type Time int64
-type Pipe struct{ last string }
-type stagedGroup struct{ tag string }
-func (pp *Pipe) TransferStaged(size int64) Time {
-	pp.last = fmt.Sprintf("staged %d", size)
-	return Time(size)
-}
-func (g *stagedGroup) runLocal() {
-	g.tag = "fired:" + g.tag
-}
-`,
-			want: []string{
-				"fmt.Sprintf call in scheduler hot path Pipe.TransferStaged",
-				"string concatenation in scheduler hot path stagedGroup.runLocal",
-			},
-		},
-		{
-			// A clean TransferStaged is silent, and newGroup is outside the
-			// hot set: its freelist-amortized construction may allocate.
-			name:     "hotpathalloc_staged_ok",
-			analyzer: "hotpathalloc",
-			pkgPath:  "mpipart/internal/sim",
-			src: `package sim
-type Time int64
-type stagedGroup struct {
-	local []func()
-	next  *stagedGroup
-}
-type Pipe struct {
-	pend *stagedGroup
-	free *stagedGroup
-}
-func (pp *Pipe) TransferStaged(size int64, onLocal func()) Time {
-	g := pp.pend
-	if g == nil {
-		g = pp.newGroup()
-		pp.pend = g
-	}
-	g.local = append(g.local, onLocal)
-	return Time(size)
-}
-func (pp *Pipe) newGroup() *stagedGroup {
-	g := pp.free
-	if g == nil {
-		g = &stagedGroup{local: []func(){}}
-	}
-	pp.free = g.next
-	return g
-}
-`,
-		},
 	}
 
 	for _, fx := range fixtures {
