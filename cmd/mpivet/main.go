@@ -2,7 +2,8 @@
 // (internal/analysis) over the given packages and reports violations of the
 // simulation's correctness invariants: wall-clock use in sim-driven code
 // (including laundered through helpers), impure kernel bodies,
-// partitioned-API state-machine misuse (intra- and interprocedural), mutexes
+// partitioned-API state-machine misuse (one path-sensitive typestate rule,
+// local and across helpers), mutexes
 // held across virtual-time waits, lock acquisition-order cycles, ignored
 // errors, non-exhaustive enum switches, lockset races in the
 // goroutine-concurrent host serving layer, and continuation-Task

@@ -137,7 +137,7 @@ func f() {
 		},
 		{
 			name:     "partitionedorder_bad",
-			analyzer: "partitionedorder",
+			analyzer: "partitionedflow",
 			pkgPath:  "mpipart/examples/fixture",
 			src: `package main
 import (
@@ -169,7 +169,7 @@ func f(p *sim.Proc, r *mpi.Rank, buf []float64) {
 		},
 		{
 			name:     "partitionedorder_bufread_bad",
-			analyzer: "partitionedorder",
+			analyzer: "partitionedflow",
 			pkgPath:  "mpipart/examples/fixture",
 			src: `package main
 import (
@@ -191,7 +191,7 @@ func f(p *sim.Proc, r *mpi.Rank, buf []float64) {
 		},
 		{
 			name:     "partitionedorder_wellformed_ok",
-			analyzer: "partitionedorder",
+			analyzer: "partitionedflow",
 			pkgPath:  "mpipart/examples/fixture",
 			src: `package main
 import (
@@ -207,6 +207,133 @@ func f(p *sim.Proc, r *mpi.Rank, buf []float64) {
 		rreq.PbufPrepare(p)
 		rreq.Wait(p)
 		consume(buf)
+	}
+	rreq.Free()
+}
+`,
+		},
+		{
+			// Negative literals are out of range too (the partition count is
+			// known from the init).
+			name:     "partitionedflow_negative_literal_bad",
+			analyzer: "partitionedflow",
+			pkgPath:  "mpipart/examples/fixture",
+			src: `package main
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func f(p *sim.Proc, r *mpi.Rank, sbuf, rbuf []float64) {
+	sreq := core.PsendInit(p, r, 1, 7, sbuf, 4)
+	rreq := core.PrecvInit(p, r, 1, 7, rbuf, 4)
+	sreq.Start(p)
+	rreq.Start(p)
+	sreq.Pready(p, -1)
+	rreq.Parrived(-2)
+	sreq.Wait(p)
+	rreq.Wait(p)
+	sreq.Free()
+	rreq.Free()
+}
+`,
+			want: []string{
+				"Pready partition -1 out of range [0,4) on request sreq",
+				"Parrived partition -2 out of range [0,4) on request rreq",
+			},
+		},
+		{
+			// Duplicate detection is not limited to the first 64 partitions.
+			name:     "partitionedflow_duplicate_pready_wide_bad",
+			analyzer: "partitionedflow",
+			pkgPath:  "mpipart/examples/fixture",
+			src: `package main
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func f(p *sim.Proc, r *mpi.Rank, buf []float64) {
+	sreq := core.PsendInit(p, r, 1, 7, buf, 200)
+	sreq.Start(p)
+	sreq.Pready(p, 100)
+	sreq.Pready(p, 199)
+	sreq.Pready(p, 100)
+	sreq.Wait(p)
+	sreq.Free()
+}
+`,
+			want: []string{"duplicate Pready of partition 100 on request sreq in the same epoch"},
+		},
+		{
+			// Parrived opens the buffer for reading.
+			name:     "partitionedflow_bufread_after_parrived_ok",
+			analyzer: "partitionedflow",
+			pkgPath:  "mpipart/examples/fixture",
+			src: `package main
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func consume(x []float64) {}
+func f(p *sim.Proc, r *mpi.Rank, buf []float64) {
+	rreq := core.PrecvInit(p, r, 0, 7, buf, 4)
+	rreq.Start(p)
+	rreq.Parrived(0)
+	consume(buf)
+	rreq.Wait(p)
+	rreq.Free()
+}
+`,
+		},
+		{
+			// A read inside a branch of an open epoch is reported with the
+			// branch path; the read after Wait is fine.
+			name:     "partitionedflow_bufread_in_branch_bad",
+			analyzer: "partitionedflow",
+			pkgPath:  "mpipart/examples/fixture",
+			src: `package main
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func consume(x []float64) {}
+func f(p *sim.Proc, r *mpi.Rank, buf []float64, peek bool) {
+	rreq := core.PrecvInit(p, r, 0, 7, buf, 4)
+	rreq.Start(p)
+	if peek {
+		consume(buf)
+	}
+	rreq.Wait(p)
+	consume(buf)
+	rreq.Free()
+}
+`,
+			want: []string{"read of receive buffer buf of request rreq before Parrived/Wait: the epoch is still open [path: branch at line 11 (true)]"},
+		},
+		{
+			// The epoch is open on only one path to the read: not a
+			// must-violation.
+			name:     "partitionedflow_bufread_one_branch_start_ok",
+			analyzer: "partitionedflow",
+			pkgPath:  "mpipart/examples/fixture",
+			src: `package main
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func consume(x []float64) {}
+func f(p *sim.Proc, r *mpi.Rank, buf []float64, run bool) {
+	rreq := core.PrecvInit(p, r, 0, 7, buf, 4)
+	if run {
+		rreq.Start(p)
+	}
+	consume(buf)
+	if run {
+		rreq.Wait(p)
 	}
 	rreq.Free()
 }

@@ -240,8 +240,34 @@ func bad(p *sim.Proc, rk *mpi.Rank, buf []float64) {
 }
 `}},
 			},
+			// The chain's last step points at r.Pready itself (line 7), not at
+			// kickoff's call of readyOne.
 			want:      []string{"Pready before Start on request sreq (issued inside fixture.readyOne)"},
-			wantChain: []string{"fixture.kickoff", "fixture.readyOne", "Pready"},
+			wantChain: []string{"fixture.kickoff", "fixture.readyOne", "Pready (", "pf_fixture.go:7)"},
+		},
+		{
+			// Persistent-backed requests are tracked through helpers like
+			// the native ones.
+			name:     "partitionedflow_persistent_helper_pready_before_start",
+			analyzer: "partitionedflow",
+			pkgs: []pkgSrc{
+				{path: "mpipart/examples/fixture", files: map[string]string{"pf_persist_fixture.go": `package main
+import (
+	"mpipart/internal/core"
+	"mpipart/internal/mpi"
+	"mpipart/internal/sim"
+)
+func readyOne(p *sim.Proc, r *core.PersistentSendRequest) { r.Pready(p, 0) }
+func bad(p *sim.Proc, rk *mpi.Rank, buf []float64) {
+	sreq := core.PsendInitPersistent(p, rk, 1, 7, buf, 4)
+	readyOne(p, sreq)
+	sreq.Start(p)
+	sreq.Wait(p)
+	sreq.Free()
+}
+`}},
+			},
+			want: []string{"Pready before Start on request sreq (issued inside fixture.readyOne)"},
 		},
 		{
 			// A helper returns an already-started request; the caller's second
@@ -327,10 +353,8 @@ func good(p *sim.Proc, rk *mpi.Rank, buf []float64) {
 		},
 		{
 			// Path-sensitive: Pready fires inside a branch before any Start
-			// exists on ANY path. The straight-line v2 walk dropped tracking at
-			// the `if`; the CFG typestate reports it with the branch path.
-			// partitionedorder rescans the nested block with fresh state, so
-			// this finding is exclusively partitionedflow's.
+			// exists on ANY path. A straight-line walk loses the request at the
+			// `if`; the CFG typestate reports it with the branch path.
 			name:     "partitionedflow_branch_pready_before_start_bad",
 			analyzer: "partitionedflow",
 			pkgs: []pkgSrc{
@@ -412,8 +436,8 @@ func good(p *sim.Proc, rk *mpi.Rank, buf []float64, run bool) {
 		{
 			// A well-formed multi-epoch loop: Start/Pready*/Wait per iteration,
 			// Free after. The back edge feeds the post-Wait state into the loop
-			// head; the fixpoint proves every epoch transition legal. Both the
-			// v2 walk and partitionedorder dropped tracking at the `for`.
+			// head; the fixpoint proves every epoch transition legal, where a
+			// straight-line walk would lose the request at the `for`.
 			name:     "partitionedflow_epoch_loop_ok",
 			analyzer: "partitionedflow",
 			pkgs: []pkgSrc{

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -9,10 +10,21 @@ import (
 	"strings"
 )
 
-// PartitionedFlowAnalyzer lifts partitionedorder's Psend/Precv state machine
-// across function boundaries. partitionedorder stays intra-function (it owns
-// the straight-line misuse diagnostics); partitionedflow adds exactly the
-// violations that require at least one interprocedural step:
+// PartitionedFlowAnalyzer checks the Psend/Precv state machine — the misuse
+// classes Bridges et al. catalog for GPU-triggered MPI: Pready/PbufPrepare/
+// Wait before Start, double Start, duplicate or out-of-range literal
+// Pready/Parrived, Free of an active request, any use after Free, and reads
+// of a receive buffer inside an open epoch before Parrived/Wait/Test.
+//
+// The checker is a path-sensitive typestate automaton solved over the
+// per-function CFG: each tracked request carries the SET of protocol states
+// it can be in, joined as a union across branches. A violation is reported
+// only when the operation is illegal in EVERY possible state — must-violation
+// semantics, so correlated branches (`if x { r.Start(p) } ... if x {
+// r.Wait(p) }`) stay silent — and the diagnostic carries the branch path from
+// the initialization to the violation.
+//
+// The automaton crosses function boundaries:
 //
 //   - a helper performs state-machine operations on a request-typed
 //     parameter (directly or through further helpers), and the call site's
@@ -26,33 +38,33 @@ import (
 // ordered operation list per request-typed parameter. A parameter that
 // escapes the straight-line view (compound control flow, unknown callees,
 // stores, returns) degrades to an opaque summary, and the caller stops
-// tracking at the call — recall traded for zero false positives, the same
-// bargain partitionedorder strikes.
-//
-// The caller side is a path-sensitive typestate automaton solved over the
-// per-function CFG: each tracked request carries the SET of protocol states
-// (init -> started -> pready -> arrived) it can be in, joined as a union
-// across branches. A violation is reported only when the operation is illegal
-// in EVERY possible state — must-violation semantics, so correlated branches
-// (`if x { r.Start(p) } ... if x { r.Wait(p) }`) stay silent — and the
-// diagnostic carries the branch path from the initialization to the
-// violation. Findings that partitionedorder already reports on the same
-// straight line are suppressed (computed by replaying its exact walk), so
-// the two analyzers partition the diagnostic space instead of overlapping.
+// tracking at the call — recall traded for zero false positives.
 var PartitionedFlowAnalyzer = &Analyzer{
 	Name:      "partitionedflow",
-	Doc:       "partitioned-API state-machine misuse split across function boundaries (helper-issued Pready before Start, ...)",
+	Doc:       "partitioned-API state-machine misuse, path-sensitive and across helpers (Pready before Start, use after Free, ...)",
 	SkipTests: true, // tests exercise misuse on purpose (mustPanic)
 	Run:       runPartitionedFlow,
 }
 
-// partOp is one state-machine operation a helper applies to a request-typed
-// parameter, in straight-line order.
+// partInitCalls maps initializer names to the request direction.
+var partInitCalls = map[string]string{
+	"PsendInit":           "send",
+	"PsendInitParts":      "send",
+	"PsendInitPersistent": "send",
+	"PrecvInit":           "recv",
+	"PrecvInitParts":      "recv",
+	"PrecvInitPersistent": "recv",
+}
+
+// partOp is one state-machine operation on a request, in straight-line
+// order.
 type partOp struct {
 	method string // Start, Pready, Parrived, Wait, Test, Free, PbufPrepare
-	part   int    // literal partition argument, -1 when absent/non-literal
-	pos    token.Pos
-	// via is the deeper helper this op was spliced from (nil: direct).
+	part   int    // literal partition argument, valid when lit
+	lit    bool
+	// pos is the operation's own call; for a spliced op it lies inside via.
+	pos token.Pos
+	// via is the deepest helper this op was spliced from (nil: direct).
 	via *FuncNode
 }
 
@@ -76,10 +88,11 @@ type partFnSummary struct {
 // partReqTypeNames are the internal/core request types the flow tracks.
 var partReqTypeNames = map[string]bool{
 	"SendRequest": true, "RecvRequest": true, "Prequest": true,
+	"PersistentSendRequest": true, "PersistentRecvRequest": true,
 }
 
 // isPartReqType reports whether t is (a pointer to) one of the request
-// types, and the direction it implies.
+// types.
 func isPartReqType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -97,15 +110,16 @@ func isPartReqType(t types.Type) bool {
 		partReqTypeNames[obj.Name()]
 }
 
-// partStateOps are the state-machine methods the summaries record.
+// partStateOps are the state-machine methods the automaton models.
 var partStateOps = map[string]bool{
 	"Start": true, "Pready": true, "Parrived": true, "Wait": true,
 	"Test": true, "Free": true, "PbufPrepare": true,
 }
 
-// partLiteralArg extracts the literal partition argument of an op, by
-// method-specific position.
-func partLiteralArg(method string, call *ast.CallExpr) int {
+// partOpOf builds the op of a direct state-machine call, extracting the
+// literal partition argument by method-specific position.
+func partOpOf(method string, call *ast.CallExpr) partOp {
+	op := partOp{method: method, pos: call.Pos()}
 	idx := -1
 	switch method {
 	case "Pready":
@@ -113,13 +127,10 @@ func partLiteralArg(method string, call *ast.CallExpr) int {
 	case "Parrived":
 		idx = 0 // Parrived(part)
 	}
-	if idx < 0 || idx >= len(call.Args) {
-		return -1
+	if idx >= 0 && idx < len(call.Args) {
+		op.part, op.lit = intLit(call.Args[idx])
 	}
-	if v, ok := intLit(call.Args[idx]); ok {
-		return v
-	}
-	return -1
+	return op
 }
 
 // computePartSummaries fills prog.partSumm bottom-up over the SCCs.
@@ -204,7 +215,7 @@ func (prog *Program) summarizeParam(node *FuncNode, body *ast.BlockStmt, name st
 				}
 				continue
 			}
-			if ops, ok := prog.opsOfCall(node, call, name); ok {
+			if ops, _, ok := prog.opsOfCall(node, call, name); ok {
 				ps.ops = append(ps.ops, ops...)
 				continue
 			}
@@ -213,7 +224,7 @@ func (prog *Program) summarizeParam(node *FuncNode, body *ast.BlockStmt, name st
 				return ps
 			}
 		case *ast.DeferStmt:
-			if ops, ok := prog.opsOfCall(node, st.Call, name); ok {
+			if ops, _, ok := prog.opsOfCall(node, st.Call, name); ok {
 				deferred = append(append([]partOp{}, ops...), deferred...)
 				continue
 			}
@@ -239,72 +250,82 @@ func (prog *Program) summarizeParam(node *FuncNode, body *ast.BlockStmt, name st
 	return ps
 }
 
-// opsOfCall interprets one call statement with respect to request variable
-// name: a direct state-machine method (`name.Start(p)`), or a helper call
-// passing name whose parameter summary can be spliced in. ok=false means the
-// call does not involve name at all, or involves it in a way that cannot be
-// summarized (the caller then degrades to opaque via usesIdent).
-func (prog *Program) opsOfCall(node *FuncNode, call *ast.CallExpr, name string) ([]partOp, bool) {
+// opsOfCall interprets one call with respect to request variable name: a
+// direct state-machine method (`name.Start(p)`), or a helper call passing
+// name whose parameter summary is spliced in, callee being that helper (nil
+// for a direct method). A call that does not involve name yields no ops;
+// ok=false means it involves name in a way that cannot be summarized (the
+// caller then stops tracking, or degrades to opaque).
+func (prog *Program) opsOfCall(node *FuncNode, call *ast.CallExpr, name string) (ops []partOp, callee *FuncNode, ok bool) {
 	// Direct method call name.M(...).
 	if id := recvIdent(call); id != nil && id.Name == name {
 		method := calleeName(call)
 		if partStateOps[method] {
-			return []partOp{{method: method, part: partLiteralArg(method, call), pos: call.Pos()}}, true
+			return []partOp{partOpOf(method, call)}, nil, true
 		}
-		// Unknown method on the request (NParts, Pending, ...): harmless.
+		// Unknown method on the request (NParts, Pending, ...): harmless
+		// unless the request recurs in its own arguments.
 		for _, arg := range call.Args {
 			if usesIdent(arg, name) {
-				return nil, false
+				return nil, nil, false
 			}
 		}
-		return nil, true
+		return nil, nil, true
 	}
 	// Helper call with name as a plain argument.
 	argIdx := -1
 	for i, arg := range call.Args {
 		if id, ok := ast.Unparen(arg).(*ast.Ident); ok && id.Name == name {
 			if argIdx >= 0 {
-				return nil, false // passed twice: too clever to summarize
+				return nil, nil, false // passed twice: too clever to summarize
 			}
 			argIdx = i
 		} else if usesIdent(arg, name) {
-			return nil, false // nested use (field, closure capture, ...)
+			return nil, nil, false // nested use (field, closure capture, ...)
 		}
 	}
 	if argIdx < 0 {
-		if usesIdent(call.Fun, name) {
-			return nil, false
-		}
-		return nil, true // call does not involve the request
+		return nil, nil, !usesIdent(call.Fun, name)
 	}
-	site := prog.siteOf(node, call)
-	if site == nil || len(site.Callees) != 1 || len(site.External) > 0 {
-		return nil, false
+	callee = prog.singleCallee(node, call)
+	if callee == nil || prog.partSumm[callee.index] == nil {
+		return nil, nil, false
 	}
-	callee := site.Callees[0]
+	// A position the callee does not treat as a request parameter (degraded
+	// type info) is as unsummarizable as an opaque one.
+	psum := prog.partSumm[callee.index].params[argIdx]
+	if psum == nil || psum.opaque {
+		return nil, nil, false
+	}
+	return spliceOps(psum.ops, callee), callee, true
+}
+
+// returnedRequest resolves a call of a helper that returns a freshly
+// initialized request: its direction ("" when the call is no such helper)
+// and the ops already applied to it.
+func (prog *Program) returnedRequest(node *FuncNode, call *ast.CallExpr) (dir string, ops []partOp, callee *FuncNode) {
+	callee = prog.singleCallee(node, call)
+	if callee == nil {
+		return "", nil, nil
+	}
 	cs := prog.partSumm[callee.index]
-	if cs == nil {
-		return nil, false
+	if cs == nil || cs.retDir == "" {
+		return "", nil, nil
 	}
-	psum, ok := cs.params[argIdx]
-	if !ok {
-		// Callee does not treat this position as a request parameter
-		// (degraded type info): be conservative.
-		return nil, false
-	}
-	if psum.opaque {
-		return nil, false
-	}
-	ops := make([]partOp, len(psum.ops))
-	for i, op := range psum.ops {
-		spliced := op
-		spliced.pos = call.Pos()
-		if spliced.via == nil {
-			spliced.via = callee
+	return cs.retDir, spliceOps(cs.retOps, callee), callee
+}
+
+// spliceOps copies a callee's ops for use at its call site, attributing the
+// callee's direct ops to it.
+func spliceOps(ops []partOp, callee *FuncNode) []partOp {
+	out := make([]partOp, len(ops))
+	for i, op := range ops {
+		if op.via == nil {
+			op.via = callee
 		}
-		ops[i] = spliced
+		out[i] = op
 	}
-	return ops, true
+	return out
 }
 
 // siteOf finds the recorded call site of call inside node.
@@ -315,6 +336,16 @@ func (prog *Program) siteOf(node *FuncNode, call *ast.CallExpr) *CallSite {
 		}
 	}
 	return nil
+}
+
+// singleCallee returns the one in-program target of call inside node, or
+// nil when the site is unresolved, dynamic or partly external.
+func (prog *Program) singleCallee(node *FuncNode, call *ast.CallExpr) *FuncNode {
+	site := prog.siteOf(node, call)
+	if site == nil || len(site.Callees) != 1 || len(site.External) > 0 {
+		return nil
+	}
+	return site.Callees[0]
 }
 
 // summarizeReturn detects the returns-fresh-request pattern: a local bound
@@ -348,19 +379,9 @@ func (prog *Program) summarizeReturn(node *FuncNode, body *ast.BlockStmt, s *par
 				local, dir, ops = lhs.Name, d, nil
 				continue
 			}
-			if site := prog.siteOf(node, call); site != nil && len(site.Callees) == 1 {
-				ccs := prog.partSumm[site.Callees[0].index]
-				if ccs != nil && ccs.retDir != "" {
-					local, dir = lhs.Name, ccs.retDir
-					ops = append([]partOp{}, ccs.retOps...)
-					for i := range ops {
-						ops[i].pos = call.Pos()
-						if ops[i].via == nil {
-							ops[i].via = site.Callees[0]
-						}
-					}
-					continue
-				}
+			if d, o, _ := prog.returnedRequest(node, call); d != "" {
+				local, dir, ops = lhs.Name, d, o
+				continue
 			}
 			if lhs.Name == local {
 				return
@@ -370,7 +391,7 @@ func (prog *Program) summarizeReturn(node *FuncNode, body *ast.BlockStmt, s *par
 				continue
 			}
 			if call, ok := st.X.(*ast.CallExpr); ok {
-				if o, ok := prog.opsOfCall(node, call, local); ok {
+				if o, _, ok := prog.opsOfCall(node, call, local); ok {
 					ops = append(ops, o...)
 					continue
 				}
@@ -401,25 +422,51 @@ func (prog *Program) summarizeReturn(node *FuncNode, body *ast.BlockStmt, s *par
 // pflowState is one possible protocol state of a tracked request variable
 // along some set of CFG paths.
 type pflowState struct {
-	dir     string
-	nparts  int // -1 when unknown
+	nparts  int    // -1 when unknown
+	buf     string // receive-buffer identifier, "" when unknown or a send
 	started bool
+	// arrived: Parrived/Wait/Test observed (or a buffer read already
+	// reported) since the last Start.
+	arrived bool
 	freed   bool
-	// readied is the bitmask of literal partitions (< 64) marked ready in
-	// the current epoch; larger literals simply forgo duplicate detection.
-	readied uint64
-	// interproc marks state that involved at least one cross-function step
-	// (helper-returned init, helper-spliced op).
-	interproc bool
+	// readied is the bitset of literal partitions marked ready in the
+	// current epoch (byte i, bit j = partition 8i+j).
+	readied string
 	// initBlock/initPos anchor where tracking began, for branch-path
 	// rendering in diagnostics.
 	initBlock int
 	initPos   token.Pos
 }
 
+// outOfRange reports whether a literal partition lies outside the request's
+// known partition count.
+func (st pflowState) outOfRange(part int) bool {
+	return st.nparts >= 0 && (part < 0 || part >= st.nparts)
+}
+
 // pflowMaxStates bounds the state set per variable; a variable whose set
 // outgrows it (pathological branching) is dropped rather than approximated.
 const pflowMaxStates = 8
+
+// pflowMaxPart bounds the literal partitions the readied bitset records;
+// larger literals forgo duplicate detection.
+const pflowMaxPart = 1 << 16
+
+func readiedHas(set string, part int) bool {
+	return part >= 0 && part/8 < len(set) && set[part/8]&(1<<uint(part%8)) != 0
+}
+
+func readiedAdd(set string, part int) string {
+	if part < 0 || part >= pflowMaxPart || readiedHas(set, part) {
+		return set
+	}
+	b := []byte(set)
+	for len(b) <= part/8 {
+		b = append(b, 0)
+	}
+	b[part/8] |= 1 << uint(part%8)
+	return string(b)
+}
 
 // pflowFact maps request variable -> set of possible states. top is the
 // solver's optimistic identity ("no path information yet"); it only exists
@@ -455,30 +502,24 @@ func pflowCanon(states []pflowState) []pflowState {
 	if len(out) > pflowMaxStates {
 		return nil
 	}
+	bit := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
+	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		if a.initPos != b.initPos {
-			return a.initPos < b.initPos
-		}
-		if a.initBlock != b.initBlock {
-			return a.initBlock < b.initBlock
-		}
-		if a.dir != b.dir {
-			return a.dir < b.dir
-		}
-		if a.nparts != b.nparts {
-			return a.nparts < b.nparts
-		}
-		if a.started != b.started {
-			return !a.started
-		}
-		if a.freed != b.freed {
-			return !a.freed
-		}
-		if a.readied != b.readied {
-			return a.readied < b.readied
-		}
-		return !a.interproc && b.interproc
+		return cmp.Or(
+			cmp.Compare(a.initPos, b.initPos),
+			cmp.Compare(a.initBlock, b.initBlock),
+			cmp.Compare(a.nparts, b.nparts),
+			strings.Compare(a.buf, b.buf),
+			cmp.Compare(bit(a.started), bit(b.started)),
+			cmp.Compare(bit(a.arrived), bit(b.arrived)),
+			cmp.Compare(bit(a.freed), bit(b.freed)),
+			strings.Compare(a.readied, b.readied),
+		) < 0
 	})
 	return out
 }
@@ -535,16 +576,14 @@ func pflowNames(f pflowFact) []string {
 	return names
 }
 
-// partLocalCovered replays partitionedorder's exact straight-line walk over
-// body and records the positions where it reports. The typestate engine
-// suppresses purely local findings at those positions: the two analyzers
-// partition the diagnostic space.
-func partLocalCovered(body *ast.BlockStmt) map[token.Pos]bool {
-	covered := map[token.Pos]bool{}
-	scanPartBlock(func(pos token.Pos, format string, args ...interface{}) {
-		covered[pos] = true
-	}, body, map[string]*partReq{})
-	return covered
+// pflowAll reports whether pred holds in every state.
+func pflowAll(states []pflowState, pred func(pflowState) bool) bool {
+	for _, st := range states {
+		if !pred(st) {
+			return false
+		}
+	}
+	return true
 }
 
 // pflowCtx carries the per-function analysis state.
@@ -553,7 +592,6 @@ type pflowCtx struct {
 	prog      *Program
 	node      *FuncNode
 	cfg       *CFG
-	covered   map[token.Pos]bool
 	reporting bool // false during Solve, true during the replay pass
 }
 
@@ -571,7 +609,6 @@ func runPartitionedFlow(pass *Pass) {
 		}
 		cx := &pflowCtx{pass: pass, prog: prog, node: node}
 		cx.cfg = BuildCFG(node.Body())
-		cx.covered = partLocalCovered(node.Body())
 		res := Solve(cx.cfg, FlowProblem[pflowFact]{
 			Boundary: pflowFact{vars: map[string][]pflowState{}},
 			Init:     pflowFact{top: true},
@@ -607,8 +644,10 @@ func (cx *pflowCtx) transfer(blk *CFGBlock, in pflowFact) pflowFact {
 func (cx *pflowCtx) step(blk *CFGBlock, n ast.Node, f pflowFact) pflowFact {
 	switch s := n.(type) {
 	case *ast.AssignStmt:
+		cx.checkBufReads(blk, s, f)
 		cx.stepAssign(blk, s, f)
 	case *ast.ExprStmt:
+		cx.checkBufReads(blk, s, f)
 		if call, ok := s.X.(*ast.CallExpr); ok {
 			cx.stepCall(blk, call, f)
 		} else {
@@ -616,7 +655,7 @@ func (cx *pflowCtx) step(blk *CFGBlock, n ast.Node, f pflowFact) pflowFact {
 		}
 	case *ast.DeferStmt:
 		// defer x.Free()/x.Wait(p) is well-formed cleanup at exit: stop
-		// tracking the variable (mirrors partitionedorder).
+		// tracking the variable.
 		if id := recvIdent(s.Call); id != nil {
 			delete(f.vars, id.Name)
 		} else {
@@ -626,14 +665,19 @@ func (cx *pflowCtx) step(blk *CFGBlock, n ast.Node, f pflowFact) pflowFact {
 		// Only the range header lives in this block (the body has its own
 		// blocks): drop on use in the ranged expression or on rebinding of a
 		// tracked name as the loop variable.
+		cx.checkBufReads(blk, s.X, f)
 		for _, name := range pflowNames(f) {
 			if usesIdent(s.X, name) || pflowBinds(s.Key, name) || pflowBinds(s.Value, name) {
 				delete(f.vars, name)
 			}
 		}
+	case *ast.SelectStmt:
+		// The clauses have their own blocks, where buffer reads are checked.
+		cx.dropUses(n, f)
 	default:
-		// Conditions (bare exprs), select, return, send, incdec, decl, go:
-		// any mention of a tracked request escapes the automaton.
+		// Conditions (bare exprs), return, send, incdec, decl, go: any
+		// mention of a tracked request escapes the automaton.
+		cx.checkBufReads(blk, n, f)
 		cx.dropUses(n, f)
 	}
 	return f
@@ -649,6 +693,32 @@ func (cx *pflowCtx) dropUses(n ast.Node, f pflowFact) {
 		if usesIdent(n, name) {
 			delete(f.vars, name)
 		}
+	}
+}
+
+// checkBufReads reports a use of a tracked receive buffer in n while every
+// state of its request is inside an open epoch with no arrival observed: the
+// sender may still be writing into it. The report counts as the epoch's
+// arrival, so each epoch is reported once.
+func (cx *pflowCtx) checkBufReads(blk *CFGBlock, n ast.Node, f pflowFact) {
+	for _, name := range pflowNames(f) {
+		states := f.vars[name]
+		buf := states[0].buf
+		if buf == "" || !usesIdent(n, buf) || !pflowAll(states, func(st pflowState) bool {
+			return st.buf == buf && st.started && !st.arrived && !st.freed
+		}) {
+			continue
+		}
+		if cx.reporting {
+			cx.pass.Reportf(n.Pos(), "read of receive buffer %s of request %s before Parrived/Wait: the epoch is still open%s",
+				buf, name, cx.pathDesc(states, blk))
+		}
+		out := make([]pflowState, len(states))
+		for i, st := range states {
+			st.arrived = true
+			out[i] = st
+		}
+		f.vars[name] = pflowCanon(out)
 	}
 }
 
@@ -670,13 +740,22 @@ func (cx *pflowCtx) stepAssign(blk *CFGBlock, s *ast.AssignStmt, f pflowFact) {
 		delete(f.vars, lhs.Name)
 		return
 	}
+	if lhs.Name == "_" {
+		cx.dropUses(s, f)
+		return
+	}
+	st := pflowState{nparts: -1, initBlock: blk.Index, initPos: call.Pos()}
 	name := calleeName(call)
-	if dir, isInit := partInitCalls[name]; isInit && lhs.Name != "_" {
+	if dir, isInit := partInitCalls[name]; isInit {
 		cx.dropUses(call, f) // a tracked request in the init args escapes
-		st := pflowState{dir: dir, nparts: -1, initBlock: blk.Index, initPos: call.Pos()}
+		// P*Init(p, r, peer, tag, buf, nparts): a literal partition count
+		// and a plain-identifier receive buffer feed the range/read checks.
 		if !strings.HasSuffix(name, "Parts") && len(call.Args) == 6 {
 			if n, ok := intLit(call.Args[5]); ok {
 				st.nparts = n
+			}
+			if b, ok := call.Args[4].(*ast.Ident); ok && dir == "recv" {
+				st.buf = b.Name
 			}
 		}
 		f.vars[lhs.Name] = []pflowState{st}
@@ -684,127 +763,35 @@ func (cx *pflowCtx) stepAssign(blk *CFGBlock, s *ast.AssignStmt, f pflowFact) {
 	}
 	// Helper-returned request: tracking starts at the call with the helper's
 	// pre-applied ops.
-	if site := cx.prog.siteOf(cx.node, call); site != nil && len(site.Callees) == 1 && len(site.External) == 0 {
-		cs := cx.prog.partSumm[site.Callees[0].index]
-		if cs != nil && cs.retDir != "" && lhs.Name != "_" {
-			cx.dropUses(s, f)
-			st := pflowState{dir: cs.retDir, nparts: -1, interproc: true, initBlock: blk.Index, initPos: call.Pos()}
-			states := []pflowState{st}
-			for _, op := range cs.retOps {
-				states = cx.applyOp(blk, lhs.Name, states, op, site.Callees[0], call.Pos())
-				if states == nil {
-					break
-				}
-			}
-			if states != nil {
-				f.vars[lhs.Name] = states
-			}
+	cx.dropUses(s, f)
+	dir, ops, callee := cx.prog.returnedRequest(cx.node, call)
+	if dir == "" {
+		return
+	}
+	states := []pflowState{st}
+	for _, op := range ops {
+		if states = cx.applyOp(blk, lhs.Name, states, op, callee, call.Pos()); states == nil {
 			return
 		}
 	}
-	cx.dropUses(s, f)
+	f.vars[lhs.Name] = states
 }
 
 // stepCall advances tracked state for a statement-level call: direct request
 // methods step the automaton; helper calls splice the callee's summarized
 // ops; anything else using a tracked request drops it.
 func (cx *pflowCtx) stepCall(blk *CFGBlock, call *ast.CallExpr, f pflowFact) {
-	// Direct method on a tracked request.
-	if id := recvIdent(call); id != nil {
-		if states, ok := f.vars[id.Name]; ok {
-			method := calleeName(call)
-			if partStateOps[method] {
-				op := partOp{method: method, part: partLiteralArg(method, call), pos: call.Pos()}
-				states = cx.applyOp(blk, id.Name, states, op, nil, call.Pos())
-				if states == nil {
-					delete(f.vars, id.Name)
-				} else {
-					f.vars[id.Name] = states
-				}
-			} else {
-				// Unknown method (NParts, Pending, ...): harmless unless the
-				// request recurs in its own arguments.
-				for _, arg := range call.Args {
-					if usesIdent(arg, id.Name) {
-						delete(f.vars, id.Name)
-						break
-					}
-				}
-			}
-			// Other tracked requests appearing in the arguments escape.
-			for _, name := range pflowNames(f) {
-				if name == id.Name {
-					continue
-				}
-				for _, arg := range call.Args {
-					if usesIdent(arg, name) {
-						delete(f.vars, name)
-						break
-					}
-				}
-			}
-			return
-		}
-	}
-	// Helper call taking tracked requests as plain arguments.
 	for _, name := range pflowNames(f) {
-		states, ok := f.vars[name]
-		if !ok {
-			continue
+		ops, callee, ok := cx.prog.opsOfCall(cx.node, call, name)
+		states := f.vars[name]
+		for i := 0; ok && i < len(ops); i++ {
+			states = cx.applyOp(blk, name, states, ops[i], callee, call.Pos())
+			ok = states != nil
 		}
-		argIdx := -1
-		involved := false
-		for i, arg := range call.Args {
-			if aid, ok := ast.Unparen(arg).(*ast.Ident); ok && aid.Name == name {
-				if argIdx >= 0 {
-					involved = true // passed twice: too clever to track
-					break
-				}
-				argIdx = i
-			} else if usesIdent(arg, name) {
-				involved = true // nested use (field, closure capture, ...)
-				break
-			}
-		}
-		if involved {
-			delete(f.vars, name)
-			continue
-		}
-		if argIdx < 0 {
-			if usesIdent(call.Fun, name) {
-				delete(f.vars, name)
-			}
-			continue
-		}
-		site := cx.prog.siteOf(cx.node, call)
-		if site == nil || len(site.Callees) != 1 || len(site.External) > 0 {
-			delete(f.vars, name)
-			continue
-		}
-		callee := site.Callees[0]
-		cs := cx.prog.partSumm[callee.index]
-		var psum *partParamSummary
-		if cs != nil {
-			psum = cs.params[argIdx]
-		}
-		if psum == nil || psum.opaque {
-			delete(f.vars, name)
-			continue
-		}
-		for _, op := range psum.ops {
-			spliced := op
-			if spliced.via == nil {
-				spliced.via = callee
-			}
-			states = cx.applyOp(blk, name, states, spliced, callee, call.Pos())
-			if states == nil {
-				break
-			}
-		}
-		if states == nil {
-			delete(f.vars, name)
-		} else {
+		if ok {
 			f.vars[name] = states
+		} else {
+			delete(f.vars, name)
 		}
 	}
 }
@@ -822,6 +809,7 @@ func pflowChecks(op partOp, name, viaDesc string, rep pflowState) []pflowCheck {
 	live := func(pred func(pflowState) bool) func(pflowState) bool {
 		return func(st pflowState) bool { return !st.freed && pred(st) }
 	}
+	outOfRange := func(st pflowState) bool { return st.outOfRange(op.part) }
 	checks := []pflowCheck{{
 		fires: func(st pflowState) bool { return st.freed },
 		msg:   fmt.Sprintf("%s on freed request %s%s: use after Free", op.method, name, viaDesc),
@@ -842,24 +830,21 @@ func pflowChecks(op partOp, name, viaDesc string, rep pflowState) []pflowCheck {
 			fires: live(func(st pflowState) bool { return !st.started }),
 			msg:   fmt.Sprintf("Pready before Start on request %s%s", name, viaDesc),
 		})
-		if op.part >= 0 {
+		if op.lit {
 			checks = append(checks,
 				pflowCheck{
-					fires: live(func(st pflowState) bool { return st.nparts >= 0 && op.part >= st.nparts }),
+					fires: live(outOfRange),
 					msg:   fmt.Sprintf("Pready partition %d out of range [0,%d) on request %s%s", op.part, rep.nparts, name, viaDesc),
 				},
 				pflowCheck{
-					fires: live(func(st pflowState) bool {
-						inRange := !(st.nparts >= 0 && op.part >= st.nparts)
-						return inRange && op.part < 64 && st.readied&(1<<uint(op.part)) != 0
-					}),
-					msg: fmt.Sprintf("duplicate Pready of partition %d on request %s%s in the same epoch", op.part, name, viaDesc),
+					fires: live(func(st pflowState) bool { return !outOfRange(st) && readiedHas(st.readied, op.part) }),
+					msg:   fmt.Sprintf("duplicate Pready of partition %d on request %s%s in the same epoch", op.part, name, viaDesc),
 				})
 		}
 	case "Parrived":
-		if op.part >= 0 {
+		if op.lit {
 			checks = append(checks, pflowCheck{
-				fires: live(func(st pflowState) bool { return st.nparts >= 0 && op.part >= st.nparts }),
+				fires: live(outOfRange),
 				msg:   fmt.Sprintf("Parrived partition %d out of range [0,%d) on request %s%s", op.part, rep.nparts, name, viaDesc),
 			})
 		}
@@ -878,24 +863,23 @@ func pflowChecks(op partOp, name, viaDesc string, rep pflowState) []pflowCheck {
 }
 
 // pflowAdvance steps one state by one operation.
-func pflowAdvance(st pflowState, op partOp, via *FuncNode) pflowState {
-	if !st.freed {
-		switch op.method {
-		case "Start":
-			st.started = true
-			st.readied = 0
-		case "Pready":
-			if op.part >= 0 && op.part < 64 {
-				st.readied |= 1 << uint(op.part)
-			}
-		case "Wait", "Test":
-			st.started = false
-		case "Free":
-			st.freed = true
-		}
+func pflowAdvance(st pflowState, op partOp) pflowState {
+	if st.freed {
+		return st
 	}
-	if via != nil {
-		st.interproc = true
+	switch op.method {
+	case "Start":
+		st.started, st.arrived, st.readied = true, false, ""
+	case "Pready":
+		if op.lit && !st.outOfRange(op.part) {
+			st.readied = readiedAdd(st.readied, op.part)
+		}
+	case "Parrived":
+		st.arrived = true
+	case "Wait", "Test":
+		st.started, st.arrived = false, true
+	case "Free":
+		st.freed = true
 	}
 	return st
 }
@@ -913,46 +897,20 @@ func (cx *pflowCtx) applyOp(blk *CFGBlock, name string, states []pflowState, op 
 		if op.via != nil {
 			viaDesc = fmt.Sprintf(" (issued inside %s)", op.via.ShortName())
 		}
-		// Eligibility: interprocedural findings are always this analyzer's;
-		// purely local ones only when partitionedorder does not already
-		// report at this operation (its straight-line walk was replayed).
-		eligible := via != nil
-		if !eligible {
-			eligible = true
-			for _, st := range states {
-				if !st.interproc {
-					eligible = false
-					break
-				}
+		for _, chk := range pflowChecks(op, name, viaDesc, states[0]) {
+			if !pflowAll(states, chk.fires) {
+				continue
 			}
-			if !eligible {
-				eligible = !cx.covered[op.pos]
+			var chain []ChainStep
+			if via != nil {
+				chain = cx.pass.opChain(via, op)
 			}
-		}
-		if eligible {
-			for _, chk := range pflowChecks(op, name, viaDesc, states[0]) {
-				all := true
-				for _, st := range states {
-					if !chk.fires(st) {
-						all = false
-						break
-					}
-				}
-				if !all {
-					continue
-				}
-				msg := chk.msg + cx.pathDesc(states, blk)
-				var chain []ChainStep
-				if via != nil {
-					chain = cx.pass.opChain(via, op)
-				}
-				cx.pass.ReportfChain(reportPos, chain, "%s", msg)
-			}
+			cx.pass.ReportfChain(reportPos, chain, "%s%s", chk.msg, cx.pathDesc(states, blk))
 		}
 	}
-	out := make([]pflowState, 0, len(states))
-	for _, st := range states {
-		out = append(out, pflowAdvance(st, op, via))
+	out := make([]pflowState, len(states))
+	for i, st := range states {
+		out[i] = pflowAdvance(st, op)
 	}
 	return pflowCanon(out)
 }
@@ -1014,7 +972,7 @@ func (cx *pflowCtx) pathDesc(states []pflowState, blk *CFGBlock) string {
 }
 
 // opChain renders the helper chain of an op: the entered helper, then the
-// deeper helper the op was spliced from, ending at the operation site.
+// deeper helper the op was spliced from, ending at the operation itself.
 func (pass *Pass) opChain(entered *FuncNode, op partOp) []ChainStep {
 	var steps []ChainStep
 	add := func(n *FuncNode, pos token.Pos) {
@@ -1022,17 +980,12 @@ func (pass *Pass) opChain(entered *FuncNode, op partOp) []ChainStep {
 		steps = append(steps, ChainStep{Func: n.ShortName(), File: p.Filename, Line: p.Line, Col: p.Column})
 	}
 	add(entered, entered.Pos())
+	final := entered
 	if op.via != nil && op.via != entered {
 		add(op.via, op.via.Pos())
-	}
-	final := entered
-	if op.via != nil {
 		final = op.via
 	}
-	p := final.Pkg.Fset.Position(op.opPos())
+	p := final.Pkg.Fset.Position(op.pos)
 	steps = append(steps, ChainStep{Desc: op.method, File: p.Filename, Line: p.Line, Col: p.Column})
 	return steps
 }
-
-// opPos returns the best-known position of the underlying operation.
-func (op partOp) opPos() token.Pos { return op.pos }
